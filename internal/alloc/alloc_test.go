@@ -274,7 +274,7 @@ func TestLoadBalanceSpreadsEvenly(t *testing.T) {
 
 func TestInputValidation(t *testing.T) {
 	spec := ntcSpec()
-	policies := []Policy{newEPACT(), NewCOAT(spec), &FFD{}, &LoadBalance{Servers: 2}}
+	policies := []Policy{newEPACT(), NewCOAT(spec), &FFD{}, &LoadBalance{Servers: 2}, NewVerma()}
 	for _, p := range policies {
 		if _, err := p.Allocate(nil, spec); err == nil {
 			t.Errorf("%s: empty input accepted", p.Name())
@@ -289,6 +289,15 @@ func TestInputValidation(t *testing.T) {
 		negative := []VMDemand{{ID: 0, CPU: []float64{-1}, Mem: []float64{0}}}
 		if _, err := p.Allocate(negative, spec); err == nil {
 			t.Errorf("%s: negative demand accepted", p.Name())
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+			cpu := []VMDemand{{ID: 0, CPU: []float64{1, bad}, Mem: []float64{1, 1}}}
+			mem := []VMDemand{{ID: 0, CPU: []float64{1, 1}, Mem: []float64{bad, 1}}}
+			for _, vms := range [][]VMDemand{cpu, mem} {
+				if _, err := p.Allocate(vms, spec); err == nil {
+					t.Errorf("%s: non-finite demand %v accepted", p.Name(), bad)
+				}
+			}
 		}
 	}
 	if _, err := NewCOAT(spec).Allocate(flatVMs(2, 10, 10, 4), ServerSpec{}); err == nil {

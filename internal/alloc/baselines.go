@@ -1,12 +1,10 @@
 package alloc
 
-import (
-	"sort"
-)
-
 // FFD is plain first-fit-decreasing consolidation without correlation
 // awareness: the classical baseline ([7], [12]) that only checks that
-// the total size of the VMs' load fits the server capacity.
+// the total size of the VMs' load fits the server capacity. VMs are
+// visited in the shared ffdOrder (peak CPU descending, index
+// ascending).
 type FFD struct {
 	// CapFrac is the CPU cap fraction (1.0 = full capacity at F_max).
 	CapFrac float64
@@ -27,13 +25,7 @@ func (f *FFD) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
 	capCPU := spec.CPUPoints() * frac
 	capMem := spec.MemPoints()
 
-	order := make([]int, len(vms))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return vms[order[a]].PeakCPU() > vms[order[b]].PeakCPU()
-	})
+	order := ffdOrder(make([]int, len(vms)), peakCPUs(vms))
 
 	var servers []*ServerPlan
 	vmServer := make([]int, len(vms))
@@ -84,11 +76,12 @@ func (l *LoadBalance) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, er
 	if err := checkInput(vms, spec); err != nil {
 		return nil, err
 	}
+	peaks := peakCPUs(vms)
 	n := l.Servers
 	if n <= 0 {
 		var total float64
-		for i := range vms {
-			total += vms[i].PeakCPU()
+		for _, p := range peaks {
+			total += p
 		}
 		n = int(total/(spec.CPUPoints()*0.5)) + 1
 	}
@@ -98,13 +91,7 @@ func (l *LoadBalance) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, er
 	}
 	vmServer := make([]int, len(vms))
 
-	order := make([]int, len(vms))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return vms[order[a]].PeakCPU() > vms[order[b]].PeakCPU()
-	})
+	order := ffdOrder(make([]int, len(vms)), peaks)
 	for _, idx := range order {
 		// Least-loaded by current peak CPU.
 		best, bestPeak := 0, servers[0].PeakCPU()

@@ -1,8 +1,6 @@
 package alloc
 
 import (
-	"sort"
-
 	"repro/internal/mathx"
 	"repro/internal/units"
 )
@@ -69,11 +67,12 @@ func (c *COAT) Name() string {
 	return "COAT"
 }
 
-// Allocate implements Policy: first-fit-decreasing over peak CPU with
-// a correlation filter — among open servers that fit, prefer the first
-// whose aggregated load correlates with the VM below the threshold
-// (separating correlated VMs); if none qualifies, fall back to the
-// first feasible server; if nothing fits, open a new server.
+// Allocate implements Policy: first-fit-decreasing over peak CPU (the
+// shared ffdOrder visiting order) with a correlation filter — among
+// open servers that fit, prefer the first whose aggregated load
+// correlates with the VM below the threshold (separating correlated
+// VMs); if none qualifies, fall back to the first feasible server; if
+// nothing fits, open a new server.
 func (c *COAT) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
 	if err := checkInput(vms, spec); err != nil {
 		return nil, err
@@ -81,13 +80,7 @@ func (c *COAT) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
 	capCPU := spec.CPUPoints() * c.CapFrac
 	capMem := spec.MemPoints()
 
-	order := make([]int, len(vms))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return vms[order[a]].PeakCPU() > vms[order[b]].PeakCPU()
-	})
+	order := ffdOrder(make([]int, len(vms)), peakCPUs(vms))
 
 	var servers []*ServerPlan
 	vmServer := make([]int, len(vms))

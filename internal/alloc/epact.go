@@ -37,13 +37,14 @@ import (
 // implementations below cache the per-VM halves of those formulas
 // (mean-centered patterns, Σdy², peaks) once per Allocate call and the
 // per-server halves once per placement round, instead of recomputing
-// both halves per (server, VM) pair. Every cached value is produced by
-// the exact fold the mathx helpers use (same operations in the same
-// order), and capacity pre-screens only bypass ServerPlan.fits when
-// peak/min bounds make the outcome certain under IEEE rounding
-// monotonicity — so selections, and therefore assignments, are
-// bit-identical to the straightforward implementation (see
-// TestAllocate1DMatchesReference / TestAllocateCase2MatchesReference).
+// both halves per (server, VM) pair. Both algorithms visit VMs in the
+// shared ffdOrder, keyed by peaks computed once per call. Every cached
+// value is produced by the exact fold the mathx helpers use (same
+// operations in the same order), and capacity pre-screens only bypass
+// ServerPlan.fits when peak/min bounds make the outcome certain under
+// IEEE rounding monotonicity — so selections, and therefore
+// assignments, are bit-identical to the straightforward implementation
+// (see TestAllocate1DMatchesReference / TestEPACTAllocateMatchesReference).
 type EPACT struct {
 	// Model is the server power model used by the Eq. 1 / case-1
 	// frequency search. Any power.Model works; the FDSOI ServerModel
@@ -358,24 +359,8 @@ func allocate1D(vms []VMDemand, capCPU, capMem float64) (*Assignment, error) {
 		peakMem[i], minMem[i] = seriesBounds(vms[i].Mem)
 	}
 
-	// First-Fit-Decreasing order by predicted CPU peak. Breaking ties
-	// (and any incomparable pairs) by index makes the comparator a
-	// total order whose unique result is the stable-sort permutation,
-	// without the stable sort's merge overhead.
-	order := scratch.order
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		va, vb := order[a], order[b]
-		if peakCPU[va] > peakCPU[vb] {
-			return true
-		}
-		if peakCPU[vb] > peakCPU[va] {
-			return false
-		}
-		return va < vb
-	})
+	// First-Fit-Decreasing order by predicted CPU peak.
+	order := ffdOrder(scratch.order, peakCPU)
 
 	// Pass 2: gather the screen bounds into FFD order and center the
 	// CPU patterns (mathx.Pearson's dy fold: peak/mean/Σdy² computed by
@@ -670,22 +655,8 @@ func (e *EPACT) allocateCase2(vms []VMDemand, spec ServerSpec, nMem int, peakCPU
 	}
 
 	// Iterate VMs largest-first for packing stability (the paper's
-	// loop is order-agnostic). Index tie-breaks give the stable-sort
-	// permutation without the stable sort's merge overhead.
-	order := make([]int, len(vms))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		va, vb := order[a], order[b]
-		if st.sortKey[va] > st.sortKey[vb] {
-			return true
-		}
-		if st.sortKey[vb] > st.sortKey[va] {
-			return false
-		}
-		return va < vb
-	})
+	// loop is order-agnostic).
+	order := ffdOrder(make([]int, len(vms)), st.sortKey)
 
 	wCPU := capCPU / (capCPU + capMem)
 	wMem := capMem / (capCPU + capMem)

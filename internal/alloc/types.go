@@ -24,6 +24,8 @@ package alloc
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/mathx"
 	"repro/internal/units"
@@ -254,7 +256,7 @@ type Policy interface {
 var errNoVMs = errors.New("alloc: no VMs to allocate")
 
 // checkInput validates common preconditions: uniform sample counts and
-// non-negative demands.
+// finite, non-negative demands.
 func checkInput(vms []VMDemand, spec ServerSpec) error {
 	if err := spec.Validate(); err != nil {
 		return err
@@ -271,10 +273,48 @@ func checkInput(vms []VMDemand, spec ServerSpec) error {
 			return fmt.Errorf("alloc: VM %d has ragged patterns", i)
 		}
 		for s := 0; s < n; s++ {
-			if vms[i].CPU[s] < 0 || vms[i].Mem[s] < 0 {
+			c, m := vms[i].CPU[s], vms[i].Mem[s]
+			if c < 0 || m < 0 {
 				return fmt.Errorf("alloc: VM %d negative demand at sample %d", i, s)
+			}
+			if math.IsNaN(c) || math.IsInf(c, 0) || math.IsNaN(m) || math.IsInf(m, 0) {
+				return fmt.Errorf("alloc: VM %d non-finite demand at sample %d", i, s)
 			}
 		}
 	}
 	return nil
+}
+
+// peakCPUs returns each VM's predicted CPU peak (VMDemand.PeakCPU),
+// the first-fit-decreasing sort key of every baseline.
+func peakCPUs(vms []VMDemand) []float64 {
+	keys := make([]float64, len(vms))
+	for i := range vms {
+		keys[i] = vms[i].PeakCPU()
+	}
+	return keys
+}
+
+// ffdOrder fills order with the VM indices 0..len(order)-1 in
+// first-fit-decreasing visiting order: keys descending, ties broken by
+// index ascending. Every allocator orders VMs through it, with keys
+// computed once per Allocate rather than once per comparison. For
+// finite keys (checkInput rejects non-finite demands) the comparator
+// is a total order, so the result is the unique sorted permutation —
+// exactly the one a stable sort by key descending yields, without the
+// stable sort's merge overhead.
+func ffdOrder(order []int, keys []float64) []int {
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		switch {
+		case keys[a] > keys[b]:
+			return -1
+		case keys[b] > keys[a]:
+			return 1
+		}
+		return a - b
+	})
+	return order
 }

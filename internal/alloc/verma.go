@@ -1,8 +1,6 @@
 package alloc
 
 import (
-	"sort"
-
 	"repro/internal/mathx"
 )
 
@@ -46,8 +44,8 @@ func (v *Verma) binarise(pattern []float64) []float64 {
 	return out
 }
 
-// Allocate implements Policy: first-fit-decreasing against the cap,
-// preferring servers whose *binary* peak sequence is least correlated
+// Allocate implements Policy: first-fit-decreasing against the cap
+// (the shared ffdOrder visiting order by peak CPU), preferring servers whose *binary* peak sequence is least correlated
 // with the VM's — the quantisation loses the envelope information
 // COAT and EPACT keep, which is the point of the baseline.
 func (v *Verma) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
@@ -61,13 +59,7 @@ func (v *Verma) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
 	capCPU := spec.CPUPoints() * frac
 	capMem := spec.MemPoints()
 
-	order := make([]int, len(vms))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return vms[order[a]].PeakCPU() > vms[order[b]].PeakCPU()
-	})
+	order := ffdOrder(make([]int, len(vms)), peakCPUs(vms))
 
 	binary := make([][]float64, len(vms))
 	for i := range vms {

@@ -3,7 +3,6 @@ package dcsim
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/alloc"
 	"repro/internal/platform"
@@ -204,13 +203,6 @@ func residentSets(tr *trace.Trace, abs int, out []float64) error {
 	return nil
 }
 
-// validatedTraces memoises successful trace.Trace.Validate calls by
-// pointer. Traces are shared read-only across scenarios (the trace
-// package's contract), and sweeps replay the same trace thousands of
-// times — revalidating ~300k samples per Run is pure overhead. Only
-// success is cached; invalid traces are re-checked every time.
-var validatedTraces sync.Map // *trace.Trace → struct{}
-
 func validate(cfg *Config) error {
 	switch {
 	case cfg.Trace == nil:
@@ -226,11 +218,8 @@ func validate(cfg *Config) error {
 	case cfg.HistoryDays <= 0 || cfg.EvalDays <= 0:
 		return errors.New("dcsim: HistoryDays and EvalDays must be positive")
 	}
-	if _, ok := validatedTraces.Load(cfg.Trace); !ok {
-		if err := cfg.Trace.Validate(); err != nil {
-			return err
-		}
-		validatedTraces.Store(cfg.Trace, struct{}{})
+	if err := cfg.Trace.ValidateOnce(); err != nil {
+		return err
 	}
 	wantSamples := cfg.EvalDays * trace.SamplesPerDay
 	if len(cfg.Predictions.CPU) != len(cfg.Trace.VMs) {

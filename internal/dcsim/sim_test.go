@@ -2,7 +2,10 @@ package dcsim
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
+	"weak"
 
 	"repro/internal/alloc"
 	"repro/internal/forecast"
@@ -391,5 +394,42 @@ func TestPoolCapViolations(t *testing.T) {
 	}
 	if res.TotalViol == 0 {
 		t.Error("pool cap of 1 server produced no violations")
+	}
+}
+
+// A validated trace must stay collectable: validation is memoised in
+// the trace, never in package state that would pin it for the life of
+// the process.
+func TestValidatedTraceIsCollected(t *testing.T) {
+	ref := func() weak.Pointer[trace.Trace] {
+		tr := testTrace(t, 4)
+		cfg := testConfig(t, tr, alloc.NewCOAT(alloc.ServerSpec{}), oracle(t, tr))
+		if err := validate(&cfg); err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(tr)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for ref.Value() != nil {
+		if time.Now().After(deadline) {
+			t.Fatal("validated trace still reachable after GC")
+		}
+		runtime.GC()
+	}
+}
+
+func TestInvalidTraceRecheckedEveryCall(t *testing.T) {
+	tr := testTrace(t, 4)
+	cfg := testConfig(t, tr, alloc.NewCOAT(alloc.ServerSpec{}), oracle(t, tr))
+	good := tr.VMs[1].CPU[5]
+	tr.VMs[1].CPU[5] = math.NaN()
+	for call := 0; call < 2; call++ {
+		if err := validate(&cfg); err == nil {
+			t.Fatalf("call %d: NaN sample accepted", call)
+		}
+	}
+	tr.VMs[1].CPU[5] = good
+	if err := validate(&cfg); err != nil {
+		t.Fatalf("repaired trace rejected (failure was cached?): %v", err)
 	}
 }

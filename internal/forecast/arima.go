@@ -85,18 +85,18 @@ func (a *ARIMA) Forecast(history []float64, horizon int) ([]float64, error) {
 		return nil, fmt.Errorf("%w: have %d, need >= %d", errTooShort, len(history), needed)
 	}
 
-	// 1) Seasonal differencing.
-	work := append([]float64(nil), history...)
-	var seasonalBase []float64
+	// 1) Seasonal differencing. Every step below only reads history
+	// (differencing allocates its output), so it is not copied.
+	work := history
 	if cfg.SeasonalPeriod > 0 {
-		seasonalBase = work
-		work = seasonalDiff(work, cfg.SeasonalPeriod)
+		work = seasonalDiff(history, cfg.SeasonalPeriod)
 	}
 
-	// 2) Ordinary differencing, keeping the tails for inversion.
-	tails := make([][]float64, 0, cfg.D)
-	for i := 0; i < cfg.D; i++ {
-		tails = append(tails, append([]float64(nil), work...))
+	// 2) Ordinary differencing, keeping each level's last value for
+	// inversion.
+	lasts := make([]float64, cfg.D)
+	for i := range lasts {
+		lasts[i] = work[len(work)-1]
 		work = diff(work)
 	}
 
@@ -112,8 +112,7 @@ func (a *ARIMA) Forecast(history []float64, horizon int) ([]float64, error) {
 
 	// 5) Invert ordinary differencing (integrate).
 	for i := cfg.D - 1; i >= 0; i-- {
-		base := tails[i]
-		level := base[len(base)-1]
+		level := lasts[i]
 		for j := range pred {
 			level += pred[j]
 			pred[j] = level
@@ -123,7 +122,7 @@ func (a *ARIMA) Forecast(history []float64, horizon int) ([]float64, error) {
 	// 6) Invert seasonal differencing.
 	if cfg.SeasonalPeriod > 0 {
 		s := cfg.SeasonalPeriod
-		n := len(seasonalBase)
+		n := len(history)
 		for j := range pred {
 			// x[t] = d[t] + x[t-s]; references forecasted values once
 			// the horizon exceeds one season.
@@ -132,7 +131,7 @@ func (a *ARIMA) Forecast(history []float64, horizon int) ([]float64, error) {
 			if idx >= n {
 				prevSeason = pred[idx-n]
 			} else {
-				prevSeason = seasonalBase[idx]
+				prevSeason = history[idx]
 			}
 			pred[j] += prevSeason
 		}
@@ -155,7 +154,10 @@ type arma struct {
 	resid []float64 // in-sample innovations (aligned to series tail)
 }
 
-// fitARMA estimates ARMA(p,q) by Hannan–Rissanen.
+// fitARMA estimates ARMA(p,q) by Hannan–Rissanen. Stage 2 streams the
+// regression rows into mathx.NormalEquations rather than building the
+// design matrix; the sums are the ones mathx.LeastSquares forms, in the
+// same order, so the coefficients are bit-identical to it.
 func fitARMA(series []float64, p, q, longAR int) (*arma, error) {
 	if p < 0 || q < 0 {
 		return nil, errors.New("forecast: negative ARMA order")
@@ -212,20 +214,18 @@ func fitARMA(series []float64, p, q, longAR int) (*arma, error) {
 
 	// Stage 2: regress x_t on lagged x and lagged innovations.
 	start := m1 + maxInt(p, q)
-	var rows [][]float64
-	var ys []float64
+	ne := mathx.NewNormalEquations(p + q)
+	row := make([]float64, p+q)
 	for t := start; t < len(x); t++ {
-		row := make([]float64, p+q)
 		for i := 0; i < p; i++ {
 			row[i] = x[t-1-i]
 		}
 		for j := 0; j < q; j++ {
 			row[p+j] = eps[t-1-j]
 		}
-		rows = append(rows, row)
-		ys = append(ys, x[t])
+		ne.Add(row, x[t])
 	}
-	beta, err := mathx.LeastSquares(rows, ys)
+	beta, err := ne.Solve()
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +260,8 @@ func (m *arma) forecast(x []float64, horizon int) []float64 {
 	for _, v := range x {
 		xs = append(xs, v-m.mean)
 	}
-	eps := append([]float64(nil), m.resid...)
+	eps := make([]float64, len(m.resid), len(m.resid)+horizon)
+	copy(eps, m.resid)
 	out := make([]float64, 0, horizon)
 	for h := 0; h < horizon; h++ {
 		t := len(xs)

@@ -217,3 +217,18 @@ func TestPredictorNames(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkARIMAForecast pins one prediction-layer call: a 7-day
+// history forecasting the next day under the data-center
+// configuration.
+func BenchmarkARIMAForecast(b *testing.B) {
+	history := syntheticDiurnal(7*288, 2018)
+	a := &ARIMA{Cfg: DefaultConfig()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.Forecast(history, 288); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

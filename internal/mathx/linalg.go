@@ -129,29 +129,61 @@ func YuleWalker(xs []float64, p int) (phi []float64, sigma2 float64, err error) 
 // least-squares sense via the normal equations (XᵀX)·beta = Xᵀy.
 // X is row-major with one observation per row. The regressions in this
 // repository are small and well-scaled, so normal equations suffice.
+// It is a loop over NormalEquations, the streaming form callers use
+// when they would otherwise build X only to hand it here.
 func LeastSquares(x [][]float64, y []float64) ([]float64, error) {
 	nObs := len(x)
 	if nObs == 0 || len(y) != nObs {
 		return nil, ErrLengthMismatch
 	}
 	nVar := len(x[0])
-	xtx := make([][]float64, nVar)
-	xty := make([]float64, nVar)
-	for i := range xtx {
-		xtx[i] = make([]float64, nVar)
-	}
+	ne := NewNormalEquations(nVar)
 	for r := 0; r < nObs; r++ {
 		if len(x[r]) != nVar {
 			return nil, ErrLengthMismatch
 		}
-		for i := 0; i < nVar; i++ {
-			xty[i] += x[r][i] * y[r]
-			for j := i; j < nVar; j++ {
-				xtx[i][j] += x[r][i] * x[r][j]
-			}
+		ne.Add(x[r], y[r])
+	}
+	return ne.Solve()
+}
+
+// NormalEquations accumulates the normal equations (XᵀX)·beta = Xᵀy of
+// a least-squares fit one observation at a time, so a regression can
+// stream its design rows instead of materialising X. Each entry of XᵀX
+// and Xᵀy is a sum over observations in arrival order, so feeding the
+// rows of X in order gives bit-for-bit the system LeastSquares solves.
+type NormalEquations struct {
+	xtx [][]float64 // upper triangle until Solve mirrors it
+	xty []float64
+}
+
+// NewNormalEquations returns an empty accumulator for nVar regressors.
+func NewNormalEquations(nVar int) *NormalEquations {
+	back := make([]float64, nVar*nVar)
+	xtx := make([][]float64, nVar)
+	for i := range xtx {
+		xtx[i] = back[i*nVar : (i+1)*nVar]
+	}
+	return &NormalEquations{xtx: xtx, xty: make([]float64, nVar)}
+}
+
+// Add accumulates one observation: the regressors row (one entry per
+// variable) and the response y.
+func (ne *NormalEquations) Add(row []float64, y float64) {
+	xtx, xty := ne.xtx, ne.xty
+	for i := range xty {
+		xty[i] += row[i] * y
+		for j := i; j < len(xty); j++ {
+			xtx[i][j] += row[i] * row[j]
 		}
 	}
-	for i := 0; i < nVar; i++ {
+}
+
+// Solve returns beta for the observations added so far. It finalises
+// the accumulator in place, so call it once.
+func (ne *NormalEquations) Solve() ([]float64, error) {
+	xtx := ne.xtx
+	for i := range xtx {
 		for j := 0; j < i; j++ {
 			xtx[i][j] = xtx[j][i]
 		}
@@ -159,7 +191,7 @@ func LeastSquares(x [][]float64, y []float64) ([]float64, error) {
 		// traces) solvable without visibly biasing the fit.
 		xtx[i][i] += 1e-9
 	}
-	return SolveLinear(xtx, xty)
+	return SolveLinear(xtx, ne.xty)
 }
 
 func abs(i int) int {

@@ -184,3 +184,59 @@ func TestLeastSquaresShapeErrors(t *testing.T) {
 		t.Errorf("ragged err = %v, want ErrLengthMismatch", err)
 	}
 }
+
+// refLeastSquares is LeastSquares as it was before it became a loop
+// over NormalEquations: the design matrix summed in place.
+func refLeastSquares(x [][]float64, y []float64) ([]float64, error) {
+	nVar := len(x[0])
+	xtx := make([][]float64, nVar)
+	xty := make([]float64, nVar)
+	for i := range xtx {
+		xtx[i] = make([]float64, nVar)
+	}
+	for r := range x {
+		for i := 0; i < nVar; i++ {
+			xty[i] += x[r][i] * y[r]
+			for j := i; j < nVar; j++ {
+				xtx[i][j] += x[r][i] * x[r][j]
+			}
+		}
+	}
+	for i := 0; i < nVar; i++ {
+		for j := 0; j < i; j++ {
+			xtx[i][j] = xtx[j][i]
+		}
+		xtx[i][i] += 1e-9
+	}
+	return SolveLinear(xtx, xty)
+}
+
+func TestLeastSquaresMatchesReference(t *testing.T) {
+	rng := newTestRNG(11)
+	for trial := 0; trial < 50; trial++ {
+		nVar := 1 + trial%5
+		nObs := nVar + 1 + int(rng.next())
+		x := make([][]float64, nObs)
+		y := make([]float64, nObs)
+		for r := range x {
+			x[r] = make([]float64, nVar)
+			for i := range x[r] {
+				x[r][i] = (rng.next() - 50) / 7
+			}
+			y[r] = (rng.next() - 50) / 3
+		}
+		got, err := LeastSquares(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refLeastSquares(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: beta[%d] = %v, reference %v", trial, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,7 +38,8 @@ import (
 //     matching the churn convention).
 //   - Utilisation units are detected per column: a column whose
 //     maximum is ≤ 1 is a fraction and is scaled to percent; values
-//     are clamped into [0, 100] afterwards.
+//     are clamped into [0, 100] afterwards. Negative or NaN readings
+//     and non-finite timestamps are rejected with their line number.
 //   - A missing memory column reports the mid-mem class profile (25%)
 //     from each VM's first reading onward — pre-arrival ticks stay
 //     zero, like CPU — and classes every VM mid-mem; with a memory
@@ -142,6 +144,9 @@ func ReadClusterCSV(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: cluster: line %d: bad timestamp %q: %w", line, tsField, err)
 		}
+		if math.IsNaN(ts) || math.IsInf(ts, 0) {
+			return nil, fmt.Errorf("trace: cluster: line %d: non-finite timestamp %q", line, tsField)
+		}
 		vmField, err := get("vm")
 		if err != nil {
 			return nil, err
@@ -157,6 +162,9 @@ func ReadClusterCSV(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: cluster: line %d: bad cpu %q: %w", line, cpuField, err)
 		}
+		if math.IsNaN(cpu) {
+			return nil, fmt.Errorf("trace: cluster: line %d: cpu %q is not a number", line, cpuField)
+		}
 		if cpu < 0 {
 			return nil, fmt.Errorf("trace: cluster: line %d: negative cpu %g", line, cpu)
 		}
@@ -168,6 +176,9 @@ func ReadClusterCSV(r io.Reader) (*Trace, error) {
 			}
 			if mem, err = strconv.ParseFloat(memField, 64); err != nil {
 				return nil, fmt.Errorf("trace: cluster: line %d: bad mem %q: %w", line, memField, err)
+			}
+			if math.IsNaN(mem) {
+				return nil, fmt.Errorf("trace: cluster: line %d: mem %q is not a number", line, memField)
 			}
 			if mem < 0 {
 				return nil, fmt.Errorf("trace: cluster: line %d: negative mem %g", line, mem)

@@ -204,6 +204,8 @@ func TestReadCSVMalformedRows(t *testing.T) {
 		{"out-of-order", header + "0,low-mem,1,10,5\n", "out of order"},
 		{"wrong-width", header + "0,low-mem,0\n", "line 2"},
 		{"unit-mismatch", header + "0,low-mem,0,150,5\n", "outside [0,100]"},
+		{"nan-cpu", header + "0,low-mem,0,NaN,5\n", "outside [0,100]"},
+		{"nan-mem", header + "0,low-mem,0,10,nan\n", "outside [0,100]"},
 		{"bad-header", "a,b,c\n", "unexpected CSV header"},
 		{"empty", "", "reading header"},
 	}
@@ -215,7 +217,7 @@ func TestReadCSVMalformedRows(t *testing.T) {
 			}
 			// Malformed rows must name their line (range violations
 			// surface from the whole-trace validation pass instead).
-			if c.name != "bad-header" && c.name != "empty" && c.name != "unit-mismatch" &&
+			if c.name != "bad-header" && c.name != "empty" && c.want != "outside [0,100]" &&
 				!strings.Contains(err.Error(), "line 2") {
 				t.Errorf("error %v does not name line 2", err)
 			}
@@ -386,6 +388,10 @@ func TestClusterAdapterConventions(t *testing.T) {
 			{"bad-timestamp", "timestamp,vm_id,cpu\nnoon,1,10\n", "line 2: bad timestamp"},
 			{"bad-cpu", "timestamp,vm_id,cpu\n0,1,hot\n", "line 2: bad cpu"},
 			{"negative-cpu", "timestamp,vm_id,cpu\n0,1,-4\n", "negative cpu"},
+			{"nan-cpu", "timestamp,vm_id,cpu\n0,1,NaN\n", "line 2: cpu \"NaN\" is not a number"},
+			{"nan-mem", "timestamp,vm_id,cpu,mem\n0,1,10,nan\n", "line 2: mem \"nan\" is not a number"},
+			{"nan-timestamp", "timestamp,vm_id,cpu\n0,1,10\nNaN,1,10\n", "line 3: non-finite timestamp"},
+			{"inf-timestamp", "timestamp,vm_id,cpu\n0,1,10\n+Inf,1,10\n", "line 3: non-finite timestamp"},
 			{"empty-vm", "timestamp,vm_id,cpu\n0,,10\n", "empty vm id"},
 			{"short-row", "timestamp,vm_id,cpu\n0,1\n", "line 2"},
 		}

@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/workload"
@@ -81,6 +82,9 @@ func (v *VM) MeanMem() float64 {
 type Trace struct {
 	Interval time.Duration
 	VMs      []*VM
+
+	// valid memoises a successful Validate for ValidateOnce.
+	valid atomic.Bool
 }
 
 // Samples returns the number of samples per VM.
@@ -112,11 +116,30 @@ func (t *Trace) Validate() error {
 				vm.ID, len(vm.CPU), len(vm.Mem), n)
 		}
 		for i := range vm.CPU {
-			if vm.CPU[i] < 0 || vm.CPU[i] > 100 || vm.Mem[i] < 0 || vm.Mem[i] > 100 {
+			// Negated so NaN, which fails every comparison, is rejected.
+			if !(vm.CPU[i] >= 0 && vm.CPU[i] <= 100 && vm.Mem[i] >= 0 && vm.Mem[i] <= 100) {
 				return fmt.Errorf("trace: VM %d sample %d outside [0,100]", vm.ID, i)
 			}
 		}
 	}
+	return nil
+}
+
+// ValidateOnce is Validate memoised on success: once the trace has
+// validated, later calls return nil without rescanning its samples.
+// Traces are shared read-only after construction, and simulators
+// replay the same trace thousands of times, so revalidating ~300k
+// samples per run is pure overhead. An invalid trace is re-checked on
+// every call. The memo lives in the trace itself, so it is collected
+// with it.
+func (t *Trace) ValidateOnce() error {
+	if t.valid.Load() {
+		return nil
+	}
+	if err := t.Validate(); err != nil {
+		return err
+	}
+	t.valid.Store(true)
 	return nil
 }
 
