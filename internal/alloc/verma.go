@@ -45,9 +45,10 @@ func (v *Verma) binarise(pattern []float64) []float64 {
 }
 
 // Allocate implements Policy: first-fit-decreasing against the cap
-// (the shared ffdOrder visiting order by peak CPU), preferring servers whose *binary* peak sequence is least correlated
-// with the VM's — the quantisation loses the envelope information
-// COAT and EPACT keep, which is the point of the baseline.
+// (the shared ffdOrder visiting order by peak CPU), preferring servers
+// whose *binary* peak sequence is least correlated with the VM's — the
+// quantisation loses the envelope information COAT and EPACT keep,
+// which is the point of the baseline.
 func (v *Verma) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
 	if err := checkInput(vms, spec); err != nil {
 		return nil, err

@@ -218,7 +218,7 @@ func validate(cfg *Config) error {
 	case cfg.HistoryDays <= 0 || cfg.EvalDays <= 0:
 		return errors.New("dcsim: HistoryDays and EvalDays must be positive")
 	}
-	if err := cfg.Trace.ValidateOnce(); err != nil {
+	if err := cfg.Trace.Validate(); err != nil {
 		return err
 	}
 	wantSamples := cfg.EvalDays * trace.SamplesPerDay

@@ -397,8 +397,8 @@ func TestPoolCapViolations(t *testing.T) {
 	}
 }
 
-// A validated trace must stay collectable: validation is memoised in
-// the trace, never in package state that would pin it for the life of
+// A validated trace must stay collectable: validation must never be
+// memoised in package state that would pin the trace for the life of
 // the process.
 func TestValidatedTraceIsCollected(t *testing.T) {
 	ref := func() weak.Pointer[trace.Trace] {

@@ -38,8 +38,10 @@ import (
 //     matching the churn convention).
 //   - Utilisation units are detected per column: a column whose
 //     maximum is ≤ 1 is a fraction and is scaled to percent; values
-//     are clamped into [0, 100] afterwards. Negative or NaN readings
-//     and non-finite timestamps are rejected with their line number.
+//     are clamped into [0, 100] afterwards. Negative or non-finite
+//     (NaN, ±Inf) readings and non-finite timestamps are rejected with
+//     their line number, so one bad cell cannot defeat the unit
+//     detection of its whole column.
 //   - A missing memory column reports the mid-mem class profile (25%)
 //     from each VM's first reading onward — pre-arrival ticks stay
 //     zero, like CPU — and classes every VM mid-mem; with a memory
@@ -162,8 +164,8 @@ func ReadClusterCSV(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: cluster: line %d: bad cpu %q: %w", line, cpuField, err)
 		}
-		if math.IsNaN(cpu) {
-			return nil, fmt.Errorf("trace: cluster: line %d: cpu %q is not a number", line, cpuField)
+		if math.IsNaN(cpu) || math.IsInf(cpu, 0) {
+			return nil, fmt.Errorf("trace: cluster: line %d: non-finite cpu %q", line, cpuField)
 		}
 		if cpu < 0 {
 			return nil, fmt.Errorf("trace: cluster: line %d: negative cpu %g", line, cpu)
@@ -177,8 +179,8 @@ func ReadClusterCSV(r io.Reader) (*Trace, error) {
 			if mem, err = strconv.ParseFloat(memField, 64); err != nil {
 				return nil, fmt.Errorf("trace: cluster: line %d: bad mem %q: %w", line, memField, err)
 			}
-			if math.IsNaN(mem) {
-				return nil, fmt.Errorf("trace: cluster: line %d: mem %q is not a number", line, memField)
+			if math.IsNaN(mem) || math.IsInf(mem, 0) {
+				return nil, fmt.Errorf("trace: cluster: line %d: non-finite mem %q", line, memField)
 			}
 			if mem < 0 {
 				return nil, fmt.Errorf("trace: cluster: line %d: negative mem %g", line, mem)

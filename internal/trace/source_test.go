@@ -388,8 +388,13 @@ func TestClusterAdapterConventions(t *testing.T) {
 			{"bad-timestamp", "timestamp,vm_id,cpu\nnoon,1,10\n", "line 2: bad timestamp"},
 			{"bad-cpu", "timestamp,vm_id,cpu\n0,1,hot\n", "line 2: bad cpu"},
 			{"negative-cpu", "timestamp,vm_id,cpu\n0,1,-4\n", "negative cpu"},
-			{"nan-cpu", "timestamp,vm_id,cpu\n0,1,NaN\n", "line 2: cpu \"NaN\" is not a number"},
-			{"nan-mem", "timestamp,vm_id,cpu,mem\n0,1,10,nan\n", "line 2: mem \"nan\" is not a number"},
+			{"nan-cpu", "timestamp,vm_id,cpu\n0,1,NaN\n", "line 2: non-finite cpu \"NaN\""},
+			{"nan-mem", "timestamp,vm_id,cpu,mem\n0,1,10,nan\n", "line 2: non-finite mem \"nan\""},
+			// Fraction-valued columns: an accepted Inf would raise the
+			// column maximum above 1 and leave every other reading
+			// unscaled, 100x too small.
+			{"inf-cpu", "timestamp,vm_id,cpu,mem\n0,1,0.2,0.3\n300,1,Inf,0.3\n", "line 3: non-finite cpu \"Inf\""},
+			{"inf-mem", "timestamp,vm_id,cpu,mem\n0,1,0.2,0.3\n300,1,0.2,+Inf\n", "line 3: non-finite mem \"+Inf\""},
 			{"nan-timestamp", "timestamp,vm_id,cpu\n0,1,10\nNaN,1,10\n", "line 3: non-finite timestamp"},
 			{"inf-timestamp", "timestamp,vm_id,cpu\n0,1,10\n+Inf,1,10\n", "line 3: non-finite timestamp"},
 			{"empty-vm", "timestamp,vm_id,cpu\n0,,10\n", "empty vm id"},

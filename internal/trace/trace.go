@@ -39,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/workload"
@@ -82,9 +81,6 @@ func (v *VM) MeanMem() float64 {
 type Trace struct {
 	Interval time.Duration
 	VMs      []*VM
-
-	// valid memoises a successful Validate for ValidateOnce.
-	valid atomic.Bool
 }
 
 // Samples returns the number of samples per VM.
@@ -122,24 +118,6 @@ func (t *Trace) Validate() error {
 			}
 		}
 	}
-	return nil
-}
-
-// ValidateOnce is Validate memoised on success: once the trace has
-// validated, later calls return nil without rescanning its samples.
-// Traces are shared read-only after construction, and simulators
-// replay the same trace thousands of times, so revalidating ~300k
-// samples per run is pure overhead. An invalid trace is re-checked on
-// every call. The memo lives in the trace itself, so it is collected
-// with it.
-func (t *Trace) ValidateOnce() error {
-	if t.valid.Load() {
-		return nil
-	}
-	if err := t.Validate(); err != nil {
-		return err
-	}
-	t.valid.Store(true)
 	return nil
 }
 
