@@ -35,13 +35,17 @@ func TestHTTPEndToEndDeterminism(t *testing.T) {
 		t.Fatal("kill -9'd worker reported success")
 	}
 
-	var wg sync.WaitGroup
+	// Both live workers must receive work for stats.Workers to count
+	// them, whatever the scheduler does: each holds its first Complete
+	// until both have been granted a unit.
+	var leased, wg sync.WaitGroup
+	leased.Add(2)
 	errs := make([]error, 2)
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cl := NewClient(srv.URL)
+			cl := &leaseGate{Backend: NewClient(srv.URL), leased: &leased}
 			_, errs[i] = Work(ctx, cl, WorkerOptions{Name: []string{"http-a", "http-b"}[i], Batch: 3, Poll: 10 * time.Millisecond})
 		}(i)
 	}
@@ -73,6 +77,30 @@ func TestHTTPEndToEndDeterminism(t *testing.T) {
 	if stats.Workers != 3 {
 		t.Errorf("stats.Workers = %d, want 3 (crasher included)", stats.Workers)
 	}
+}
+
+// leaseGate is a worker transport that reports its first granted
+// unit to leased and holds every Complete until leased reaches zero —
+// every gated worker has received work. A worker blocked in Complete
+// leases nothing more, so the others still find units: the unleased
+// rest of the queue, or leases that expire meanwhile.
+type leaseGate struct {
+	Backend
+	leased *sync.WaitGroup
+	once   sync.Once
+}
+
+func (g *leaseGate) Lease(ctx context.Context, worker string, max int) (LeaseReply, error) {
+	reply, err := g.Backend.Lease(ctx, worker, max)
+	if err == nil && len(reply.Units) > 0 {
+		g.once.Do(g.leased.Done)
+	}
+	return reply, err
+}
+
+func (g *leaseGate) Complete(ctx context.Context, worker string, results []UnitResult, load sweep.LoadStats) error {
+	g.leased.Wait()
+	return g.Backend.Complete(ctx, worker, results, load)
 }
 
 // TestHTTPGridRoundTripsCustomModels: the /v1/grid payload must carry

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/dcsim"
-	"repro/internal/power"
 )
 
 // Clone returns an independent stepper carrying this one's state: the
@@ -30,31 +29,6 @@ func (st *Stepper) Clone() (*Stepper, error) {
 		res:        st.res, // only non-nil once done; final and read-only
 		carbon:     st.carbon,
 	}
-	if st.static != nil {
-		ss := &staticState{asg: st.static.asg, sims: make([]*dcsim.Stepper, len(st.static.sims))}
-		for i, sim := range st.static.sims {
-			if sim == nil {
-				continue
-			}
-			dc := st.fleet.DCs[i]
-			base, _, err := dc.serverPlatform()
-			if err != nil {
-				return nil, fmt.Errorf("topology: DC %q: %w", dc.Name, err)
-			}
-			model, err := power.ResolveModel(st.cfg.PowerModel, base)
-			if err != nil {
-				return nil, fmt.Errorf("topology: DC %q: %w", dc.Name, err)
-			}
-			pol, err := st.cfg.NewPolicy(model)
-			if err != nil {
-				return nil, fmt.Errorf("topology: DC %q: %w", dc.Name, err)
-			}
-			ss.sims[i] = sim.Clone(pol)
-		}
-		c.static = ss
-		return c, nil
-	}
-
 	rb := st.reb
 	res := *rb.res
 	res.DCs = append([]DCRun(nil), rb.res.DCs...)
@@ -101,7 +75,7 @@ func (st *Stepper) Clone() (*Stepper, error) {
 			if sim == nil {
 				continue
 			}
-			pol, err := st.cfg.NewPolicy(rb.models[i].model)
+			pol, err := st.cfg.NewPolicy(rb.models[i].base)
 			if err != nil {
 				return nil, fmt.Errorf("topology: DC %q: %w", st.fleet.DCs[i].Name, err)
 			}

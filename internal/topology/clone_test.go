@@ -8,26 +8,34 @@ import (
 	"repro/internal/dcsim"
 )
 
-// TestCloneContinuesBitExact forks mid-run fleet steppers — static
-// and epoch-rebalanced (mid-epoch), with transition pricing — and
-// checks that clone and original continue identically and
-// independently: every remaining SlotStep is equal and the final
-// FleetResults are DeepEqual.
+// TestCloneContinuesBitExact forks mid-run fleet steppers — one epoch
+// and epoch-rebalanced (mid-epoch), with transition pricing, under the
+// native and the tdp power model — and checks that clone and original
+// continue identically and independently: every remaining SlotStep is
+// equal and the final FleetResults are DeepEqual. The tdp cases pin
+// that a clone's policies plan against the native model, as the
+// original's do.
 func TestCloneContinuesBitExact(t *testing.T) {
 	cases := []struct {
 		name  string
 		fleet string
 		reb   RebalanceSpec
 		fork  int
+		model string
 	}{
-		{"single-static", "single", RebalanceSpec{}, 10},
-		{"triad-static", "triad", RebalanceSpec{}, 10},
-		{"triad-epoch4-mid-epoch", "uniform@triad", RebalanceSpec{EverySlots: 4, Dispatcher: "greedy-proportional"}, 10},
-		{"triad-epoch5-boundary", "triad", RebalanceSpec{EverySlots: 5}, 15},
+		{"single-static", "single", RebalanceSpec{}, 10, ""},
+		{"triad-static", "triad", RebalanceSpec{}, 10, ""},
+		{"triad-epoch4-mid-epoch", "uniform@triad", RebalanceSpec{EverySlots: 4, Dispatcher: "greedy-proportional"}, 10, ""},
+		{"triad-epoch5-boundary", "triad", RebalanceSpec{EverySlots: 5}, 15, ""},
+		{"single-static-tdp", "single", RebalanceSpec{}, 10, "tdp"},
+		{"greedy-triad-static-tdp", "greedy-proportional@triad", RebalanceSpec{}, 10, "tdp"},
+		{"greedy-triad-epoch12-mid-epoch-tdp", "greedy-proportional@triad", RebalanceSpec{EverySlots: 12}, 13, "tdp"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			st, err := NewStepper(stepperConfig(t, c.fleet, c.reb, dcsim.DefaultTransitions(), 2))
+			cfg := stepperConfig(t, c.fleet, c.reb, dcsim.DefaultTransitions(), 2)
+			cfg.PowerModel = c.model
+			st, err := NewStepper(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,8 +114,8 @@ func TestCloneMatchesFreshWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh, err := dcsim.Run(dcsim.Config{
-		Trace:                subTrace(cfg.Trace, st.static.asg[0]),
-		Predictions:          subPredictions(cfg.Predictions, st.static.asg[0]),
+		Trace:                subTrace(cfg.Trace, st.reb.asg[0]),
+		Predictions:          subPredictions(cfg.Predictions, st.reb.asg[0]),
 		HistoryDays:          cfg.HistoryDays,
 		EvalDays:             cfg.EvalDays,
 		StartSlot:            fork,

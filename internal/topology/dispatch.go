@@ -9,33 +9,26 @@ import (
 )
 
 // Assignment maps each DC (fleet order) to the trace VM indices it
-// hosts, ascending. Every VM appears in exactly one DC — Dispatch
+// hosts, ascending. Every VM appears in exactly one DC — DispatchAt
 // partitions the population.
 type Assignment [][]int
 
-// Dispatch partitions a trace's VMs across the fleet's datacenters
-// according to the fleet's dispatcher. It is a pure function of the
-// (resolved) fleet and the trace: no randomness, deterministic
-// tie-breaking, so fleet scenarios inherit the sweep engine's
-// byte-determinism contract.
+// DispatchAt partitions a trace's VMs across the fleet's datacenters
+// according to the fleet's dispatcher, as of a given hour of day. It
+// is a pure function of the (resolved) fleet and the trace: no
+// randomness, deterministic tie-breaking, so fleet scenarios inherit
+// the sweep engine's byte-determinism contract.
 //
 // historySamples bounds what load-aware dispatchers may observe: the
 // first historySamples of each VM's series (the past a real operator
 // has seen). <= 0, or more samples than the trace holds, means the
 // whole trace. Load-blind dispatchers ignore it.
 //
-// Dispatch is DispatchAt at hour 0 — carbon-aware dispatchers price
-// grid intensity at midnight; everything else ignores the hour.
-func Dispatch(f Fleet, tr *trace.Trace, historySamples int) (Assignment, error) {
-	return DispatchAt(f, tr, historySamples, 0)
-}
-
-// DispatchAt dispatches as of a given hour of day: the carbon-greedy
-// dispatcher ranks DCs by their grid intensity AT that hour, which is
-// what lets the epoch rebalancer follow the sun — each re-dispatch
-// re-ranks against the boundary slot's hour. The load-blind and
-// load-aware dispatchers ignore the hour entirely, so Dispatch and
-// DispatchAt agree for them.
+// The carbon-greedy dispatcher ranks DCs by their grid intensity AT
+// hour, which is what lets the epoch rebalancer follow the sun — each
+// re-dispatch re-ranks against the boundary slot's hour; the initial
+// placement prices midnight (hour 0). The load-blind and load-aware
+// dispatchers ignore the hour entirely.
 func DispatchAt(f Fleet, tr *trace.Trace, historySamples, hour int) (Assignment, error) {
 	f = f.normalized()
 	switch f.Dispatcher {

@@ -103,15 +103,16 @@ func ParseRebalanceSpec(spec string) (RebalanceSpec, error) {
 	return RebalanceSpec{EverySlots: n, Dispatcher: disp}, nil
 }
 
-// The epoch-rebalancing path itself lives in stepper.go (rebState):
-// Run's rebalanced branch is the fleet Stepper driven to exhaustion,
-// which keeps the batch result and the live slot-by-slot view one
-// code path instead of two accounting implementations to reconcile.
+// The epoch machinery itself lives in stepper.go (rebState). Every
+// fleet run goes through it — an unrebalanced run is one epoch
+// spanning the evaluation period — and Run is the fleet Stepper driven
+// to exhaustion, so the batch result and the live slot-by-slot view
+// are one code path.
 
 // serverModels pairs one DC's (axis-resolved) power model with its
 // performance platform. base is the platform's native model the
 // allocation policy plans against — the axis-resolved model reprices
-// the replay, never the placement (see newStaticState).
+// the replay, never the placement (see rebState.openEpoch).
 type serverModels struct {
 	base  *power.ServerModel
 	model power.Model

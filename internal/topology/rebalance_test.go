@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -77,25 +78,54 @@ func rebalanceConfig(t *testing.T, fleetSpec string, reb RebalanceSpec) Config {
 	}
 }
 
-// TestRebalanceSingleDCIsIdentity pins that `single` stays the
-// bit-exact identity under any rebalance spec: one datacenter has
-// nothing to rebalance, so the static path runs unchanged.
+// TestRebalanceSingleDCIsIdentity pins that an epoch spanning the
+// whole evaluation period is the unrebalanced run: on one datacenter
+// (nothing to rebalance, so any spec is that single epoch) and on
+// multi-DC fleets whose epoch:N has N >= the slot count. Every field
+// is equal, each DC that hosts VMs keeps its dcsim.Result, and only
+// the multi-DC fleet MeanPlannedFreqGHz may differ, by at most 1 ulp:
+// a rebalanced run weighs each DC's mean by VMs × slots, an
+// unrebalanced one by VMs.
 func TestRebalanceSingleDCIsIdentity(t *testing.T) {
-	static, err := Run(rebalanceConfig(t, "single", RebalanceSpec{}))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		fleet string
+		every int // the run spans 24 slots
+	}{
+		{"single", 4}, {"single", 24}, {"single", 1000},
+		{"triad", 24}, {"triad", 1000},
+		{"triad-carbon", 24}, {"triad-carbon", 1000},
 	}
-	reb, err := Run(rebalanceConfig(t, "single", RebalanceSpec{EverySlots: 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if static.TotalEnergyMJ != reb.TotalEnergyMJ || static.Violations != reb.Violations ||
-		static.MeanActive != reb.MeanActive || static.CrossDCMigrations != 0 ||
-		reb.CrossDCMigrations != 0 {
-		t.Errorf("single-DC rebalance diverged from static: %+v vs %+v", reb, static)
-	}
-	if !reflect.DeepEqual(static.SlotEnergyMJ, reb.SlotEnergyMJ) {
-		t.Error("single-DC rebalance changed the slot energy series")
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s-epoch%d", c.fleet, c.every), func(t *testing.T) {
+			off, err := Run(rebalanceConfig(t, c.fleet, RebalanceSpec{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reb, err := Run(rebalanceConfig(t, c.fleet, RebalanceSpec{EverySlots: c.every}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, run := range reb.DCs {
+				if run.VMs > 0 && (run.Result == nil || off.DCs[i].Result == nil) {
+					t.Errorf("DC %q hosts %d VMs but has no dcsim.Result", run.Spec.Name, run.VMs)
+				}
+			}
+			if off.CrossDCMigrations != 0 || reb.CrossDCMigrations != 0 {
+				t.Errorf("a single epoch migrated VMs: %d vs %d", reb.CrossDCMigrations, off.CrossDCMigrations)
+			}
+			f, g := off.MeanPlannedFreqGHz, reb.MeanPlannedFreqGHz
+			if g != f && g != math.Nextafter(f, math.Inf(1)) && g != math.Nextafter(f, math.Inf(-1)) {
+				t.Errorf("MeanPlannedFreqGHz %v more than 1 ulp from unrebalanced %v", g, f)
+			}
+			if c.fleet == "single" && g != f {
+				t.Errorf("single-DC MeanPlannedFreqGHz %v != %v", g, f)
+			}
+			cmp := *reb
+			cmp.MeanPlannedFreqGHz = f
+			if !reflect.DeepEqual(&cmp, off) {
+				t.Errorf("single-epoch run diverged from unrebalanced:\n%+v\nvs\n%+v", reb, off)
+			}
+		})
 	}
 }
 
@@ -172,12 +202,11 @@ func TestRebalanceConsolidatesTowardGreedy(t *testing.T) {
 	}
 }
 
-// TestLatencyWeightedViolations pins the WAN QoS metric on both
-// paths: per-DC weighted counts are violations × latency/ref and sum
+// TestLatencyWeightedViolations pins the WAN QoS metric: per-DC weighted counts are violations × latency/ref and sum
 // to the fleet metric, and a default-latency single DC reports the
 // raw count unchanged.
 func TestLatencyWeightedViolations(t *testing.T) {
-	// Static triad path: reconstruct the weighting from the per-DC rows.
+	// Unrebalanced triad: reconstruct the weighting from the per-DC rows.
 	res, err := Run(rebalanceConfig(t, "follow-the-load@triad", RebalanceSpec{}))
 	if err != nil {
 		t.Fatal(err)
@@ -424,12 +453,12 @@ func TestDispatchClampsOversizedHistoryWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		fleet = fleet.Resolve(30)
-		huge, err := Dispatch(fleet, tr, samples*10)
+		huge, err := DispatchAt(fleet, tr, samples*10, 0)
 		if err != nil {
 			t.Fatalf("%s with oversized window: %v", disp, err)
 		}
 		assertPartition(t, huge, 30)
-		full, err := Dispatch(fleet, tr, 0)
+		full, err := DispatchAt(fleet, tr, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,16 +57,17 @@ type Config struct {
 	// Rebalance re-runs cross-DC dispatch every EverySlots slots over
 	// the observed (history-so-far) load and migrates VMs between
 	// datacenters (see RebalanceSpec). The zero value keeps the
-	// static one-shot dispatch. Single-DC fleets have nothing to
-	// rebalance and always take the static path — `single` stays the
+	// one-shot dispatch: the run is a single epoch spanning the
+	// evaluation period. Single-DC fleets have nothing to rebalance
+	// and always run as that single epoch — `single` stays the
 	// bit-exact identity under any rebalance spec.
 	Rebalance RebalanceSpec
 
 	// MigrationDowntimeSamples charges every cross-DC migration this
 	// many violation-samples of downtime at the destination DC (a WAN
 	// live migration stalls the VM; one sample is 5 minutes). Only
-	// the rebalancer moves VMs across DCs, so the static path never
-	// reads it. Negative values clamp to 0.
+	// rebalancing epoch boundaries move VMs across DCs, so a
+	// single-epoch run never charges it. Negative values clamp to 0.
 	MigrationDowntimeSamples int
 
 	// Source, when non-nil, gates the fleet replay on data
@@ -120,8 +121,10 @@ type DCRun struct {
 	OperationalGCO2 float64 `json:"operational_gco2"`
 	EmbodiedGCO2    float64 `json:"embodied_gco2"`
 
-	// Result is the full simulation output (nil for a DC that hosted
-	// no VMs). Not serialised.
+	// Result is the DC's full simulation output when its run was one
+	// epoch spanning the evaluation period — every unrebalanced or
+	// single-DC run. It is nil for a DC that hosted no VMs and under
+	// rebalancing with more than one epoch. Not serialised.
 	Result *dcsim.Result `json:"-"`
 }
 

@@ -105,18 +105,22 @@ type Stepper struct {
 	// precomputed from the resolved specs. Read-only after NewStepper.
 	carbon []dcCarbon
 
-	// Exactly one of static/reb is non-nil.
-	static *staticState
-	reb    *rebState
+	// reb is the epoch machinery every run steps through; an
+	// unrebalanced run is one epoch.
+	reb *rebState
 }
 
-// NewStepper validates cfg, resolves the fleet and builds the per-DC
-// simulation state without simulating any slot. Configuration errors
-// a batch Run would report mid-run (bad platform, policy factory
-// failure, invalid dcsim window) surface here instead.
+// NewStepper validates cfg, resolves the fleet, dispatches the
+// initial placement and builds the first epoch's per-DC simulation
+// state without simulating any slot. Configuration errors that epoch
+// would hit (bad platform, policy factory failure, invalid dcsim
+// window) surface here rather than mid-run.
 func NewStepper(cfg Config) (*Stepper, error) {
 	if cfg.Trace == nil {
 		return nil, fmt.Errorf("topology: nil trace")
+	}
+	if len(cfg.Trace.VMs) == 0 {
+		return nil, fmt.Errorf("topology: trace has no VMs")
 	}
 	if cfg.Predictions == nil {
 		return nil, fmt.Errorf("topology: nil predictions")
@@ -157,11 +161,7 @@ func NewStepper(cfg Config) (*Stepper, error) {
 		}
 		st.carbon[i] = dcCarbonOf(dc, m)
 	}
-	if cfg.Rebalance.Enabled() && len(fleet.DCs) > 1 {
-		if err := st.initRebalanced(); err != nil {
-			return nil, err
-		}
-	} else if err := st.initStatic(); err != nil {
+	if err := st.initEpochs(); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -188,10 +188,61 @@ func (st *Stepper) Step() (SlotStep, error) {
 	if src := st.cfg.Source; src != nil && !src.SlotReady(st.next) {
 		return SlotStep{}, fmt.Errorf("topology: evaluation slot %d: %w", st.next, dcsim.ErrAwaitingSamples)
 	}
-	if st.reb != nil {
-		return st.stepRebalanced()
+	rb := st.reb
+	s := st.next
+	if s >= rb.epochEnd {
+		rb.closeEpoch(st)
+		if err := rb.openEpoch(st, s); err != nil {
+			return SlotStep{}, err
+		}
 	}
-	return st.stepStatic()
+	out := SlotStep{Slot: s, DCs: make([]DCSlotStep, len(st.fleet.DCs))}
+	boundary := s == rb.epochStart
+	if boundary {
+		// The fleet slot energy starts from the boundary pricing sum,
+		// accumulated per VM in dispatch order — the batch path's
+		// prefix of SlotEnergyMJ[s] — so the per-DC additions below
+		// land on it in the batch order and the total stays bit-exact.
+		out.EnergyMJ = rb.boundFleetMJ
+	}
+	for i, dc := range st.fleet.DCs {
+		d := &out.DCs[i]
+		d.Name = dc.Name
+		d.VMs = len(rb.asg[i])
+		if boundary {
+			d.EnergyMJ = rb.boundMJ[i]
+			d.Violations = rb.boundViol[i]
+			d.CrossDCMigrations = rb.boundCross[i]
+		}
+		if rb.sims[i] != nil {
+			slot, err := rb.sims[i].Step()
+			if err != nil {
+				return SlotStep{}, fmt.Errorf("topology: DC %q: %w", dc.Name, err)
+			}
+			mj := slot.Energy.MJ() * dc.PUE
+			d.EnergyMJ += mj
+			out.EnergyMJ += mj
+			d.ActiveServers = slot.ActiveServers
+			d.Violations += slot.Violations
+			d.Migrations = slot.Migrations
+		} else if boundary && rb.prevActive[i] > 0 {
+			d.EnergyMJ += rb.drainFac[i]
+			out.EnergyMJ += rb.drainFac[i]
+		}
+		d.LatencyWeightedViol = float64(d.Violations) * latencyWeight(dc.LatencyMs)
+		ci := st.carbon[i]
+		d.OperationalGCO2 = d.EnergyMJ / mjPerKWh * ci.intensity.At(s%24)
+		d.EmbodiedGCO2 = float64(d.ActiveServers) * ci.gPerServerHour
+		out.ActiveServers += d.ActiveServers
+		out.Violations += d.Violations
+		out.LatencyWeightedViol += d.LatencyWeightedViol
+		out.Migrations += d.Migrations
+		out.CrossDCMigrations += d.CrossDCMigrations
+		out.OperationalGCO2 += d.OperationalGCO2
+		out.EmbodiedGCO2 += d.EmbodiedGCO2
+	}
+	st.next++
+	return out, nil
 }
 
 // Result aggregates the finished run into the FleetResult a batch Run
@@ -202,203 +253,23 @@ func (st *Stepper) Result() (*FleetResult, error) {
 		return nil, fmt.Errorf("topology: stepper not done: %d of %d slots stepped", st.next, st.totalSlots)
 	}
 	if st.res == nil {
-		if st.reb != nil {
-			st.reb.closeEpoch(st)
-			st.res = st.reb.finish(st)
-		} else {
-			st.res = st.staticResult()
-		}
+		st.reb.closeEpoch(st)
+		st.res = st.reb.finish(st)
 	}
 	return st.res, nil
 }
 
-// staticState is the one-shot-dispatch path: one dcsim stepper per
-// non-empty DC spanning the whole evaluation period, exactly the runs
-// the batch static path performs.
-type staticState struct {
-	asg  [][]int
-	sims []*dcsim.Stepper // nil for DCs the dispatcher left empty
-}
-
-func (st *Stepper) initStatic() error {
-	cfg, fleet := &st.cfg, st.fleet
-	// Load-aware dispatch may observe the history window only.
-	asg, err := Dispatch(fleet, cfg.Trace, cfg.HistoryDays*trace.SamplesPerDay)
-	if err != nil {
-		return err
-	}
-	ss := &staticState{asg: asg, sims: make([]*dcsim.Stepper, len(fleet.DCs))}
-	for i, dc := range fleet.DCs {
-		if len(asg[i]) == 0 {
-			continue
-		}
-		// The resolved spec already carries the effective static power
-		// (per-DC override or the scenario default).
-		base, plat, err := dc.serverPlatform()
-		if err != nil {
-			return fmt.Errorf("topology: DC %q: %w", dc.Name, err)
-		}
-		model, err := power.ResolveModel(cfg.PowerModel, base)
-		if err != nil {
-			return fmt.Errorf("topology: DC %q: %w", dc.Name, err)
-		}
-		// The policy plans against the platform's NATIVE model: the
-		// power-model axis reprices what the replay observes (Server),
-		// never what the allocator decides, so tdp rows keep the ntc
-		// rows' placement, frequencies and violations bit-for-bit.
-		pol, err := cfg.NewPolicy(base)
-		if err != nil {
-			return fmt.Errorf("topology: DC %q: %w", dc.Name, err)
-		}
-		sim, err := dcsim.NewStepper(dcsim.Config{
-			Trace:       subTrace(cfg.Trace, asg[i]),
-			Predictions: subPredictions(cfg.Predictions, asg[i]),
-			HistoryDays: cfg.HistoryDays,
-			EvalDays:    cfg.EvalDays,
-			Policy:      pol,
-			Server:      model,
-			Platform:    plat,
-			MaxServers:  dc.Servers,
-			Transitions: cfg.Transitions,
-			TraceLabel:  cfg.TraceLabel,
-		})
-		if err != nil {
-			return fmt.Errorf("topology: DC %q: %w", dc.Name, err)
-		}
-		ss.sims[i] = sim
-		if sim.Slots() > st.totalSlots {
-			st.totalSlots = sim.Slots()
-		}
-	}
-	st.static = ss
-	return nil
-}
-
-func (st *Stepper) stepStatic() (SlotStep, error) {
-	out := SlotStep{Slot: st.next, DCs: make([]DCSlotStep, len(st.fleet.DCs))}
-	for i, dc := range st.fleet.DCs {
-		d := &out.DCs[i]
-		d.Name = dc.Name
-		d.VMs = len(st.static.asg[i])
-		sim := st.static.sims[i]
-		if sim == nil {
-			continue
-		}
-		slot, err := sim.Step()
-		if err != nil {
-			return SlotStep{}, fmt.Errorf("topology: DC %q: %w", dc.Name, err)
-		}
-		d.EnergyMJ = slot.Energy.MJ() * dc.PUE
-		d.ActiveServers = slot.ActiveServers
-		d.Violations = slot.Violations
-		d.LatencyWeightedViol = float64(slot.Violations) * latencyWeight(dc.LatencyMs)
-		d.Migrations = slot.Migrations
-		ci := st.carbon[i]
-		d.OperationalGCO2 = d.EnergyMJ / mjPerKWh * ci.intensity.At(st.next%24)
-		d.EmbodiedGCO2 = float64(d.ActiveServers) * ci.gPerServerHour
-		out.EnergyMJ += d.EnergyMJ
-		out.ActiveServers += d.ActiveServers
-		out.Violations += d.Violations
-		out.LatencyWeightedViol += d.LatencyWeightedViol
-		out.Migrations += d.Migrations
-		out.OperationalGCO2 += d.OperationalGCO2
-		out.EmbodiedGCO2 += d.EmbodiedGCO2
-	}
-	st.next++
-	return out, nil
-}
-
-// staticResult is the batch static path's aggregation, verbatim, over
-// the finished per-DC steppers.
-func (st *Stepper) staticResult() *FleetResult {
-	fleet, asg := st.fleet, st.static.asg
-	res := &FleetResult{Fleet: fleet, DCs: make([]DCRun, len(fleet.DCs))}
-	var freqWeighted, vmTotal float64
-	for i, dc := range fleet.DCs {
-		run := &res.DCs[i]
-		run.Spec = dc
-		run.VMs = len(asg[i])
-		if run.VMs == 0 {
-			continue
-		}
-		sim := st.static.sims[i].Finish()
-		run.Result = sim
-		run.ITEnergyMJ = sim.TotalEnergy.MJ()
-		run.EnergyMJ = run.ITEnergyMJ * dc.PUE
-		run.Violations = sim.TotalViol
-		run.MeanActive = sim.MeanActive
-		run.PeakActive = sim.PeakActive
-		run.Migrations = sim.TotalMigrations
-		run.LatencyWeightedViol = float64(run.Violations) * latencyWeight(dc.LatencyMs)
-
-		res.TotalEnergyMJ += run.EnergyMJ
-		res.TransitionMJ += sim.TotalTransitionEnergy.MJ() * dc.PUE
-		res.Violations += run.Violations
-		res.Migrations += run.Migrations
-		res.LatencyWeightedViol += run.LatencyWeightedViol
-		if len(sim.Slots) > res.Slots {
-			res.Slots = len(sim.Slots)
-		}
-		freqWeighted += sim.MeanPlannedFreqGHz() * float64(run.VMs)
-		vmTotal += float64(run.VMs)
-	}
-
-	// Fleet per-slot series: facility energy and summed active servers.
-	res.SlotEnergyMJ = make([]float64, res.Slots)
-	activePerSlot := make([]int, res.Slots)
-	for i := range res.DCs {
-		sim := res.DCs[i].Result
-		if sim == nil {
-			continue
-		}
-		ci := st.carbon[i]
-		dcSlotMJ := make([]float64, len(sim.Slots))
-		var op, emb float64
-		for t, s := range sim.Slots {
-			mj := s.Energy.MJ() * res.DCs[i].Spec.PUE
-			dcSlotMJ[t] = mj
-			res.SlotEnergyMJ[t] += mj
-			activePerSlot[t] += s.ActiveServers
-			op += mj / mjPerKWh * ci.intensity.At(t%24)
-			emb += float64(s.ActiveServers) * ci.gPerServerHour
-		}
-		res.DCs[i].EPScore = SeriesEPScore(dcSlotMJ)
-		res.DCs[i].OperationalGCO2 = op
-		res.DCs[i].EmbodiedGCO2 = emb
-		res.OperationalGCO2 += op
-		res.EmbodiedGCO2 += emb
-	}
-	activeSum := 0
-	for _, a := range activePerSlot {
-		activeSum += a
-		if a > res.PeakActive {
-			res.PeakActive = a
-		}
-	}
-	if res.Slots > 0 {
-		res.MeanActive = float64(activeSum) / float64(res.Slots)
-	}
-	res.EPScore = SeriesEPScore(res.SlotEnergyMJ)
-	if len(res.DCs) == 1 {
-		// Bit-exact identity with the single-datacenter path: avoid
-		// the weighted-mean round trip when there is nothing to weigh.
-		if sim := res.DCs[0].Result; sim != nil {
-			res.MeanPlannedFreqGHz = sim.MeanPlannedFreqGHz()
-		}
-	} else if vmTotal > 0 {
-		res.MeanPlannedFreqGHz = freqWeighted / vmTotal
-	}
-	return res
-}
-
-// rebState is the epoch-rebalancing path, holding what the batch
-// rebalancer kept as loop state. Per epoch of Rebalance.EverySlots
-// slots it re-runs dispatch over the history plus every evaluation
-// sample already replayed — the load an operator has actually
-// observed — then simulates each DC's window via a per-epoch dcsim
-// stepper seeded with the previous epoch's closing active-server
-// count (allocator instances restart fresh: a re-dispatch is a global
-// re-plan, and per-DC VM index sets change with the assignment).
+// rebState is the fleet's epoch machinery, holding what the batch
+// rebalancer kept as loop state. Without rebalancing (or on a
+// single-DC fleet) the one epoch spans the whole evaluation period:
+// the initial dispatch and one dcsim stepper per non-empty DC. With
+// Rebalance.EverySlots = N, per epoch of N slots it re-runs dispatch
+// over the history plus every evaluation sample already replayed — the
+// load an operator has actually observed — then simulates each DC's
+// window via a per-epoch dcsim stepper seeded with the previous
+// epoch's closing active-server count (allocator instances restart
+// fresh: a re-dispatch is a global re-plan, and per-DC VM index sets
+// change with the assignment).
 //
 // Every VM whose DC changes is a cross-DC migration: its resident set
 // at the boundary sample is priced through
@@ -416,8 +287,8 @@ func (st *Stepper) staticResult() *FleetResult {
 // Across that boundary only the power-on/off delta
 // (InitialActiveServers) and the cross-DC moves above are billed;
 // with epoch:N, one boundary in every N slots skips its within-DC
-// migration stats. Compare rebalanced transition_mj against static
-// rows with this in mind.
+// migration stats. Compare rebalanced transition_mj against
+// unrebalanced rows with this in mind.
 //
 // The accumulation split is what keeps stepping bit-exact with the
 // batch run: openEpoch folds the boundary pricing into the result
@@ -461,7 +332,10 @@ type rebState struct {
 	drainFac     []float64 // drained-DC power-off, facility MJ
 }
 
-func (st *Stepper) initRebalanced() error {
+// initEpochs builds the epoch machinery and opens the first epoch: the
+// initial placement observes the history window only, so it needs no
+// released evaluation slot.
+func (st *Stepper) initEpochs() error {
 	cfg, fleet := &st.cfg, st.fleet
 	st.totalSlots = cfg.EvalDays * trace.SamplesPerDay / trace.SamplesPerSlot
 	rb := &rebState{
@@ -469,6 +343,12 @@ func (st *Stepper) initRebalanced() error {
 		histSamples: cfg.HistoryDays * trace.SamplesPerDay,
 		every:       cfg.Rebalance.EverySlots,
 		downtime:    cfg.MigrationDowntimeSamples,
+	}
+	// One datacenter has nothing to rebalance: like an unrebalanced
+	// fleet it runs as a single epoch, which keeps `single` the
+	// bit-exact identity under any rebalance spec.
+	if !cfg.Rebalance.Enabled() || len(fleet.DCs) == 1 {
+		rb.every = st.totalSlots
 	}
 	if rb.downtime < 0 {
 		rb.downtime = 0
@@ -511,7 +391,7 @@ func (st *Stepper) initRebalanced() error {
 	rb.drainIT = make([]float64, n)
 	rb.drainFac = make([]float64, n)
 	st.reb = rb
-	return nil
+	return rb.openEpoch(st, 0)
 }
 
 // openEpoch re-dispatches at slot e0, prices the cross-DC moves into
@@ -603,8 +483,10 @@ func (rb *rebState) openEpoch(st *Stepper, e0 int) error {
 			}
 			continue
 		}
-		// Plan against the native model; the axis-resolved model only
-		// prices the replay (see the static path).
+		// The policy plans against the platform's NATIVE model: the
+		// power-model axis reprices what the replay observes (Server),
+		// never what the allocator decides, so tdp rows keep the ntc
+		// rows' placement, frequencies and violations bit-for-bit.
 		pol, err := cfg.NewPolicy(rb.models[i].base)
 		if err != nil {
 			return fmt.Errorf("topology: DC %q: %w", dc.Name, err)
@@ -636,7 +518,8 @@ func (rb *rebState) openEpoch(st *Stepper, e0 int) error {
 
 // closeEpoch folds the finished epoch's per-DC aggregates into the
 // result accumulators — the batch rebalancer's DC loop, verbatim, in
-// DC index order.
+// DC index order. An epoch spanning the whole evaluation period also
+// keeps each DC's dcsim.Result.
 func (rb *rebState) closeEpoch(st *Stepper) {
 	if !rb.open {
 		return
@@ -661,6 +544,9 @@ func (rb *rebState) closeEpoch(st *Stepper) {
 			continue
 		}
 		sim := rb.sims[i].Finish()
+		if rb.epochStart == 0 && rb.epochEnd == st.totalSlots {
+			run.Result = sim
+		}
 		run.ITEnergyMJ += sim.TotalEnergy.MJ()
 		facility := sim.TotalEnergy.MJ() * dc.PUE
 		run.EnergyMJ += facility
@@ -691,64 +577,6 @@ func (rb *rebState) closeEpoch(st *Stepper) {
 	rb.open = false
 }
 
-func (st *Stepper) stepRebalanced() (SlotStep, error) {
-	rb := st.reb
-	s := st.next
-	if !rb.open || s >= rb.epochEnd {
-		rb.closeEpoch(st)
-		if err := rb.openEpoch(st, s); err != nil {
-			return SlotStep{}, err
-		}
-	}
-	out := SlotStep{Slot: s, DCs: make([]DCSlotStep, len(st.fleet.DCs))}
-	boundary := s == rb.epochStart
-	if boundary {
-		// The fleet slot energy starts from the boundary pricing sum,
-		// accumulated per VM in dispatch order — the batch path's
-		// prefix of SlotEnergyMJ[s] — so the per-DC additions below
-		// land on it in the batch order and the total stays bit-exact.
-		out.EnergyMJ = rb.boundFleetMJ
-	}
-	for i, dc := range st.fleet.DCs {
-		d := &out.DCs[i]
-		d.Name = dc.Name
-		d.VMs = len(rb.asg[i])
-		if boundary {
-			d.EnergyMJ = rb.boundMJ[i]
-			d.Violations = rb.boundViol[i]
-			d.CrossDCMigrations = rb.boundCross[i]
-		}
-		if rb.sims[i] != nil {
-			slot, err := rb.sims[i].Step()
-			if err != nil {
-				return SlotStep{}, fmt.Errorf("topology: DC %q: %w", dc.Name, err)
-			}
-			mj := slot.Energy.MJ() * dc.PUE
-			d.EnergyMJ += mj
-			out.EnergyMJ += mj
-			d.ActiveServers = slot.ActiveServers
-			d.Violations += slot.Violations
-			d.Migrations = slot.Migrations
-		} else if boundary && rb.prevActive[i] > 0 {
-			d.EnergyMJ += rb.drainFac[i]
-			out.EnergyMJ += rb.drainFac[i]
-		}
-		d.LatencyWeightedViol = float64(d.Violations) * latencyWeight(dc.LatencyMs)
-		ci := st.carbon[i]
-		d.OperationalGCO2 = d.EnergyMJ / mjPerKWh * ci.intensity.At(s%24)
-		d.EmbodiedGCO2 = float64(d.ActiveServers) * ci.gPerServerHour
-		out.ActiveServers += d.ActiveServers
-		out.Violations += d.Violations
-		out.LatencyWeightedViol += d.LatencyWeightedViol
-		out.Migrations += d.Migrations
-		out.CrossDCMigrations += d.CrossDCMigrations
-		out.OperationalGCO2 += d.OperationalGCO2
-		out.EmbodiedGCO2 += d.EmbodiedGCO2
-	}
-	st.next++
-	return out, nil
-}
-
 // finish is the batch rebalancer's tail aggregation over the stitched
 // series, verbatim.
 func (rb *rebState) finish(st *Stepper) *FleetResult {
@@ -767,8 +595,8 @@ func (rb *rebState) finish(st *Stepper) *FleetResult {
 		if st.totalSlots > 0 {
 			res.DCs[i].MeanActive = float64(rb.dcActiveSum[i]) / float64(st.totalSlots)
 		}
-		// A DC that never burned anything reports EPScore 0, matching
-		// the static path's "no series" convention for empty DCs.
+		// A DC that never burned anything has no series and reports
+		// EPScore 0.
 		if res.DCs[i].ITEnergyMJ > 0 {
 			res.DCs[i].EPScore = SeriesEPScore(rb.dcSlotMJ[i])
 		}
@@ -787,8 +615,35 @@ func (rb *rebState) finish(st *Stepper) *FleetResult {
 		res.EmbodiedGCO2 += emb
 	}
 	res.EPScore = SeriesEPScore(res.SlotEnergyMJ)
-	if rb.vmSlotTotal > 0 {
-		res.MeanPlannedFreqGHz = rb.freqWeighted / rb.vmSlotTotal
-	}
+	res.MeanPlannedFreqGHz = rb.meanPlannedFreqGHz(st)
 	return res
+}
+
+// meanPlannedFreqGHz weights the per-DC allocator cap frequencies.
+// Without rebalancing every DC ran one epoch and the mean weighs each
+// DC's own mean by its VMs; a single DC reports its own mean, with no
+// weighted round trip. Rebalanced runs weigh each DC-epoch mean by
+// VMs × slots.
+func (rb *rebState) meanPlannedFreqGHz(st *Stepper) float64 {
+	res := rb.res
+	switch {
+	case len(res.DCs) == 1:
+		if sim := res.DCs[0].Result; sim != nil {
+			return sim.MeanPlannedFreqGHz()
+		}
+	case !st.cfg.Rebalance.Enabled():
+		var weighted, vms float64
+		for _, run := range res.DCs {
+			if run.Result != nil {
+				weighted += run.Result.MeanPlannedFreqGHz() * float64(run.VMs)
+				vms += float64(run.VMs)
+			}
+		}
+		if vms > 0 {
+			return weighted / vms
+		}
+	case rb.vmSlotTotal > 0:
+		return rb.freqWeighted / rb.vmSlotTotal
+	}
+	return 0
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dcsim"
+	"repro/internal/trace"
 )
 
 // stepperConfig builds a fleet run over days evaluated days (plus one
@@ -163,5 +164,15 @@ func TestStepperMatchesRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNewStepperRejectsEmptyTrace: a trace with no VMs is an error, as
+// it is for dcsim, not a run of empty slots.
+func TestNewStepperRejectsEmptyTrace(t *testing.T) {
+	cfg := stepperConfig(t, "triad", RebalanceSpec{}, dcsim.TransitionModel{}, 1)
+	cfg.Trace = &trace.Trace{Interval: cfg.Trace.Interval}
+	if _, err := NewStepper(cfg); err == nil {
+		t.Fatal("NewStepper accepted a trace with no VMs")
 	}
 }

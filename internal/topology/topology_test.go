@@ -276,7 +276,7 @@ func TestDispatchPartitions(t *testing.T) {
 	}
 	for _, disp := range DispatcherNames() {
 		f.Dispatcher = disp
-		asg, err := Dispatch(f.Resolve(60), tr, 0)
+		asg, err := DispatchAt(f.Resolve(60), tr, 0, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", disp, err)
 		}
@@ -290,7 +290,7 @@ func TestUniformDispatchTracksShares(t *testing.T) {
 		{Name: "big", Share: 0.75},
 		{Name: "small", Share: 0.25},
 	}}
-	asg, err := Dispatch(f, tr, 0)
+	asg, err := DispatchAt(f, tr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestGreedyProportionalFillsNTCFirst(t *testing.T) {
 		{Name: "conv", Servers: 100, Server: "conventional"},
 		{Name: "ntc", Servers: 2}, // capacity 2×16 = 32 VMs
 	}}
-	asg, err := Dispatch(f, tr, 0)
+	asg, err := DispatchAt(f, tr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestGreedyProportionalSeesStaticPowerOverrides(t *testing.T) {
 		{Name: "heavy", Servers: 100, StaticPowerW: 45},
 		{Name: "light", Servers: 100},
 	}}
-	asg, err := Dispatch(f, tr, 0)
+	asg, err := DispatchAt(f, tr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestFollowTheLoadObservesHistoryOnly(t *testing.T) {
 
 	// History window: VM0 is the observed-heavy VM and takes the near
 	// site; VM1 looks idle and balances onto the far site.
-	asg, err := Dispatch(f, tr, n)
+	asg, err := DispatchAt(f, tr, n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestFollowTheLoadObservesHistoryOnly(t *testing.T) {
 
 	// Full-trace means (the oracle view) would place both VMs near —
 	// the window is what keeps the future out of the decision.
-	asg, err = Dispatch(f, tr, 0)
+	asg, err = DispatchAt(f, tr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestFollowTheLoadPrefersLowLatency(t *testing.T) {
 		{Name: "far", LatencyMs: 100},
 		{Name: "near", LatencyMs: 5},
 	}}
-	asg, err := Dispatch(f, tr, 0)
+	asg, err := DispatchAt(f, tr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func TestZeroShareDCIsNeverStarved(t *testing.T) {
 
 	for _, disp := range DispatcherNames() {
 		f.Dispatcher = disp
-		asg, err := Dispatch(f.Resolve(40), tr, 0)
+		asg, err := DispatchAt(f.Resolve(40), tr, 0, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", disp, err)
 		}
@@ -543,7 +543,7 @@ func TestZeroShareDCIsNeverStarved(t *testing.T) {
 
 	// Uniform dispatch treats the defaulted share as equal weight.
 	f.Dispatcher = "uniform"
-	asg, err := Dispatch(f, tr, 0)
+	asg, err := DispatchAt(f, tr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +571,7 @@ func TestExplicitZeroShareDrainsDC(t *testing.T) {
 	}}
 	for _, disp := range DispatcherNames() {
 		f.Dispatcher = disp
-		asg, err := Dispatch(f.Resolve(40), tr, trace.SamplesPerDay/2)
+		asg, err := DispatchAt(f.Resolve(40), tr, trace.SamplesPerDay/2, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", disp, err)
 		}
@@ -642,7 +642,7 @@ func TestFollowTheLoadSingleDC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asg, err := Dispatch(f, tr, trace.SamplesPerDay)
+	asg, err := DispatchAt(f, tr, trace.SamplesPerDay, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -659,7 +659,7 @@ func TestFollowTheLoadSingleDC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uasg, err := Dispatch(uni, tr, 0)
+	uasg, err := DispatchAt(uni, tr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
