@@ -68,7 +68,7 @@ func ExampleParseTopology() {
 	fmt.Printf("%s via %s dispatch:\n", fleet.Name, fleet.Dispatcher)
 	for _, dc := range fleet.Resolve(600).DCs {
 		fmt.Printf("  %s: %d servers, PUE %.2f, %.0f ms\n",
-			dc.Name, dc.Servers, dc.PUE, dc.LatencyMs)
+			dc.Name, dc.Servers, dc.PUE, *dc.LatencyMs)
 	}
 	// Output:
 	// triad via greedy-proportional dispatch:

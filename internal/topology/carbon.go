@@ -16,10 +16,10 @@ import (
 // violation accounting — so a scenario with the default power model
 // and zero carbon fields reproduces today's energy columns bit-exactly.
 
-// DefaultGridIntensity is the grid carbon intensity a DC without an
-// explicit `grid_intensity` inherits, in gCO2eq/kWh — a world-average
-// grid mix. An explicit zero (GridIntensitySet) means a zero-carbon
-// grid and survives normalisation.
+// DefaultGridIntensity is the grid carbon intensity a DC without a
+// `grid_intensity` (absent or null) inherits, in gCO2eq/kWh — a
+// world-average grid mix. An explicit zero (IntensityProfile{0}) means
+// a zero-carbon grid and survives normalisation.
 const DefaultGridIntensity = 400.0
 
 // EmbodiedAmortYears is the service life embodied manufacturing
@@ -52,8 +52,12 @@ func (p IntensityProfile) At(hour int) float64 {
 	}
 }
 
-// UnmarshalJSON accepts a scalar intensity or an hourly array.
+// UnmarshalJSON accepts a scalar intensity or an hourly array. null
+// leaves the profile untouched, so it means "absent", not zero carbon.
 func (p *IntensityProfile) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
+	}
 	var scalar float64
 	if err := json.Unmarshal(data, &scalar); err == nil {
 		*p = IntensityProfile{scalar}

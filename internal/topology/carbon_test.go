@@ -44,11 +44,10 @@ func TestGridIntensityZeroSurvivesJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.DCs[0].GridIntensitySet || f.DCs[0].GridIntensity.At(0) != 0 {
-		t.Errorf("explicit grid_intensity 0 decoded as {%v, set=%v}, want {0, true}",
-			f.DCs[0].GridIntensity, f.DCs[0].GridIntensitySet)
+	if p := f.DCs[0].GridIntensity; len(p) != 1 || p[0] != 0 {
+		t.Errorf("explicit grid_intensity 0 decoded as %v, want [0]", p)
 	}
-	if f.DCs[1].GridIntensitySet {
+	if f.DCs[1].GridIntensity != nil {
 		t.Error("absent grid_intensity decoded as explicitly set")
 	}
 	n := f.normalized()
@@ -123,6 +122,26 @@ func TestMalformedIntensityProfilesFailLoudly(t *testing.T) {
 		}
 	}
 
+	// A type error on a DC field names that field's line, not the line
+	// the DC's object opens on.
+	typeErrs := []struct{ field, value string }{
+		{"share", `"x"`},
+		{"latency_ms", `true`},
+		{"static_power_w", `[1]`},
+		{"pue", `"high"`},
+	}
+	for _, c := range typeErrs {
+		body := "{\"name\":\"f\",\"dcs\":[\n{\"name\":\"a\",\n\"servers\":4,\n\"" + c.field + "\":" + c.value + "}]}"
+		_, err := ParseFleetJSON([]byte(body))
+		if err == nil {
+			t.Errorf("%s: %s accepted", c.field, c.value)
+			continue
+		}
+		if !strings.Contains(err.Error(), "line 4") || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: error %q does not name the field and its line 4", c.field, err)
+		}
+	}
+
 	neg := Fleet{Name: "f", DCs: []DCSpec{
 		{Name: "a", GridIntensity: IntensityProfile{-5}},
 	}}
@@ -189,7 +208,6 @@ func TestRunCarbonAccounting(t *testing.T) {
 		Name:              "dc0",
 		PUE:               1.2,
 		GridIntensity:     dayNightProfile(100, 900),
-		GridIntensitySet:  true,
 		EmbodiedKgPerVCPU: 25,
 		EmbodiedKgPerGB:   1.5,
 	}}}
@@ -248,7 +266,7 @@ func TestZeroCarbonFieldsZeroCarbon(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := Fleet{Name: "zc", DCs: []DCSpec{
-		{Name: "dc0", GridIntensity: IntensityProfile{0}, GridIntensitySet: true},
+		{Name: "dc0", GridIntensity: IntensityProfile{0}},
 	}}
 	res, err := Run(Config{
 		Fleet:       f,

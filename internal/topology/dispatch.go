@@ -63,10 +63,10 @@ func dispatchUniform(f Fleet, tr *trace.Trace) (Assignment, error) {
 		best := -1
 		bestQ := 0.0
 		for i, dc := range f.DCs {
-			if dc.Share <= 0 {
+			if *dc.Share <= 0 {
 				continue
 			}
-			q := float64(len(out[i])+1) / dc.Share
+			q := float64(len(out[i])+1) / *dc.Share
 			if best < 0 || q < bestQ {
 				best, bestQ = i, q
 			}
@@ -100,33 +100,13 @@ func ProportionalityScore(m *power.ServerModel) float64 {
 // last-ranked DC absorbs any remainder — an over-full fleet surfaces
 // as pool-cap violations in the simulation, never as dropped VMs.
 func dispatchGreedyProportional(f Fleet, tr *trace.Trace) (Assignment, error) {
-	order := make([]rankedDC, 0, len(f.DCs))
-	for i, dc := range f.DCs {
-		if dc.Share <= 0 {
-			// Drained: never a fill target, whatever its ranking.
-			continue
-		}
-		// The DC's effective static power shifts its idle/peak ratio,
-		// so it belongs in the ranking; Run materialises the scenario
-		// default into the resolved specs before dispatching.
-		m, _, err := dc.serverPlatform()
-		if err != nil {
-			return nil, err
-		}
-		// Rank greatest proportionality first: negate so fillRanked's
-		// ascending order fills the most proportional DC first.
-		order = append(order, rankedDC{idx: i, score: -ProportionalityScore(m), cap: dcVMCapacity(dc, m)})
-	}
-	return fillRanked(f, tr, order)
-}
-
-// rankedDC is one fill target of a greedy dispatcher: a DC index, its
-// ranking score (ascending — lowest score fills first) and its VM
-// capacity (0 = unbounded).
-type rankedDC struct {
-	idx   int
-	score float64
-	cap   int
+	// The DC's effective static power shifts its idle/peak ratio, so it
+	// belongs in the ranking; NewStepper materialises the scenario
+	// default into the resolved specs before dispatching. The score is
+	// negated so the most proportional DC fills first.
+	return fillRanked(f, tr, func(_ DCSpec, m *power.ServerModel) float64 {
+		return -ProportionalityScore(m)
+	})
 }
 
 // dcVMCapacity is the DC's VM capacity: servers × per-server VM slots
@@ -142,12 +122,29 @@ func dcVMCapacity(dc DCSpec, m *power.ServerModel) int {
 	return 0
 }
 
-// fillRanked fills DCs in ascending score order (spec order on ties):
-// VMs in ID order fill each DC to its capacity before overflowing to
-// the next, and the last-ranked DC absorbs any remainder — an
-// over-full fleet surfaces as pool-cap violations in the simulation,
-// never as dropped VMs.
-func fillRanked(f Fleet, tr *trace.Trace, order []rankedDC) (Assignment, error) {
+// fillRanked fills the dispatchable DCs in ascending score order
+// (spec order on ties): VMs in ID order fill each DC to its VM
+// capacity before overflowing to the next, and the last-ranked DC
+// absorbs any remainder — an over-full fleet surfaces as pool-cap
+// violations in the simulation, never as dropped VMs. Drained DCs are
+// never a fill target, whatever their score.
+func fillRanked(f Fleet, tr *trace.Trace, score func(DCSpec, *power.ServerModel) float64) (Assignment, error) {
+	type rankedDC struct {
+		idx   int
+		score float64
+		cap   int
+	}
+	order := make([]rankedDC, 0, len(f.DCs))
+	for i, dc := range f.DCs {
+		if *dc.Share <= 0 {
+			continue
+		}
+		m, _, err := dc.serverPlatform()
+		if err != nil {
+			return nil, err
+		}
+		order = append(order, rankedDC{idx: i, score: score(dc, m), cap: dcVMCapacity(dc, m)})
+	}
 	if len(order) == 0 {
 		return nil, errNoDispatchableDC
 	}
@@ -176,18 +173,9 @@ func fillRanked(f Fleet, tr *trace.Trace, order []rankedDC) (Assignment, error) 
 // joules; it never reads the workload, so it stays a pure function of
 // the fleet spec and the hour.
 func dispatchCarbonGreedy(f Fleet, tr *trace.Trace, hour int) (Assignment, error) {
-	order := make([]rankedDC, 0, len(f.DCs))
-	for i, dc := range f.DCs {
-		if dc.Share <= 0 {
-			continue
-		}
-		m, _, err := dc.serverPlatform()
-		if err != nil {
-			return nil, err
-		}
-		order = append(order, rankedDC{idx: i, score: dc.PUE * dc.GridIntensity.At(hour), cap: dcVMCapacity(dc, m)})
-	}
-	return fillRanked(f, tr, order)
+	return fillRanked(f, tr, func(dc DCSpec, _ *power.ServerModel) float64 {
+		return dc.PUE * dc.GridIntensity.At(hour)
+	})
 }
 
 // dispatchFollowTheLoad balances observed load latency-aware: each
@@ -201,11 +189,11 @@ func dispatchCarbonGreedy(f Fleet, tr *trace.Trace, hour int) (Assignment, error
 func dispatchFollowTheLoad(f Fleet, tr *trace.Trace, historySamples int) (Assignment, error) {
 	weights := make([]float64, len(f.DCs))
 	for i, dc := range f.DCs {
-		lat := dc.LatencyMs
+		lat := *dc.LatencyMs
 		if lat < 1 {
 			lat = 1
 		}
-		weights[i] = dc.Share / lat
+		weights[i] = *dc.Share / lat
 	}
 
 	type vmLoad struct {

@@ -213,7 +213,7 @@ func TestLatencyWeightedViolations(t *testing.T) {
 	}
 	sum := 0.0
 	for _, dc := range res.DCs {
-		want := float64(dc.Violations) * dc.Spec.LatencyMs / WANLatencyRefMs
+		want := float64(dc.Violations) * *dc.Spec.LatencyMs / WANLatencyRefMs
 		if math.Abs(dc.LatencyWeightedViol-want) > 1e-9 {
 			t.Errorf("DC %s weighted viol = %v, want %v", dc.Spec.Name, dc.LatencyWeightedViol, want)
 		}
@@ -280,7 +280,7 @@ func TestExplicitZeroStaticPowerSurvivesScenarioDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !zf.DCs[0].StaticPowerSet || zf.DCs[0].StaticPowerW != 0 {
+	if p := zf.DCs[0].StaticPowerW; p == nil || *p != 0 {
 		t.Fatalf("explicit zero not tracked: %+v", zf.DCs[0])
 	}
 	// ...and its platform really has no static power.
@@ -325,17 +325,17 @@ func TestExplicitZeroLatencySurvivesNormalisation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.DCs[0].LatencyMsSet || f.DCs[0].LatencyMs != 0 {
+	if p := f.DCs[0].LatencyMs; p == nil || *p != 0 {
 		t.Fatalf("explicit zero latency not tracked: %+v", f.DCs[0])
 	}
 	n := f.normalized()
-	if n.DCs[0].LatencyMs != 0 {
-		t.Errorf("explicit zero latency normalised to %v, want 0", n.DCs[0].LatencyMs)
+	if *n.DCs[0].LatencyMs != 0 {
+		t.Errorf("explicit zero latency normalised to %v, want 0", *n.DCs[0].LatencyMs)
 	}
-	if n.DCs[2].LatencyMs != 10 {
-		t.Errorf("absent latency normalised to %v, want the 10 ms default", n.DCs[2].LatencyMs)
+	if *n.DCs[2].LatencyMs != 10 {
+		t.Errorf("absent latency normalised to %v, want the 10 ms default", *n.DCs[2].LatencyMs)
 	}
-	if w := latencyWeight(n.DCs[0].LatencyMs); w != 0 {
+	if w := latencyWeight(*n.DCs[0].LatencyMs); w != 0 {
 		t.Errorf("co-located DC violation weight = %v, want 0", w)
 	}
 }

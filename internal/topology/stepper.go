@@ -138,14 +138,12 @@ func NewStepper(cfg Config) (*Stepper, error) {
 	if err := fleet.Validate(); err != nil {
 		return nil, err
 	}
-	// Materialise the scenario's static-power default into the
-	// resolved specs so dispatchers that rank by hardware
-	// proportionality see each DC's effective platform cost. A DC
-	// whose spec explicitly wrote the value — including an explicit
-	// zero (StaticPowerSet) — keeps its own.
+	// Materialise a positive scenario static-power override into the
+	// unset specs, so dispatchers that rank by hardware proportionality
+	// see each DC's effective platform cost.
 	for i := range fleet.DCs {
-		if fleet.DCs[i].StaticPowerW == 0 && !fleet.DCs[i].StaticPowerSet {
-			fleet.DCs[i].StaticPowerW = cfg.StaticPowerW
+		if fleet.DCs[i].StaticPowerW == nil && cfg.StaticPowerW > 0 {
+			fleet.DCs[i].StaticPowerW = f64(cfg.StaticPowerW)
 		}
 	}
 	st := &Stepper{cfg: cfg, fleet: fleet}
@@ -229,7 +227,7 @@ func (st *Stepper) Step() (SlotStep, error) {
 			d.EnergyMJ += rb.drainFac[i]
 			out.EnergyMJ += rb.drainFac[i]
 		}
-		d.LatencyWeightedViol = float64(d.Violations) * latencyWeight(dc.LatencyMs)
+		d.LatencyWeightedViol = float64(d.Violations) * latencyWeight(*dc.LatencyMs)
 		ci := st.carbon[i]
 		d.OperationalGCO2 = d.EnergyMJ / mjPerKWh * ci.intensity.At(s%24)
 		d.EmbodiedGCO2 = float64(d.ActiveServers) * ci.gPerServerHour
@@ -460,7 +458,7 @@ func (rb *rebState) openEpoch(st *Stepper, e0 int) error {
 			// Downtime: the VM is unavailable while it moves.
 			run.Violations += rb.downtime
 			res.Violations += rb.downtime
-			w := float64(rb.downtime) * latencyWeight(run.Spec.LatencyMs)
+			w := float64(rb.downtime) * latencyWeight(*run.Spec.LatencyMs)
 			run.LatencyWeightedViol += w
 			res.LatencyWeightedViol += w
 			rb.boundViol[dst] += rb.downtime
@@ -554,7 +552,7 @@ func (rb *rebState) closeEpoch(st *Stepper) {
 		res.TransitionMJ += sim.TotalTransitionEnergy.MJ() * dc.PUE
 		run.Violations += sim.TotalViol
 		res.Violations += sim.TotalViol
-		w := float64(sim.TotalViol) * latencyWeight(dc.LatencyMs)
+		w := float64(sim.TotalViol) * latencyWeight(*dc.LatencyMs)
 		run.LatencyWeightedViol += w
 		res.LatencyWeightedViol += w
 		run.Migrations += sim.TotalMigrations

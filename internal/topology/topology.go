@@ -38,6 +38,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -47,7 +48,9 @@ import (
 	"repro/internal/units"
 )
 
-// DCSpec describes one datacenter of a fleet.
+// DCSpec describes one datacenter of a fleet. Its optional numeric
+// fields are pointers: nil means "use the default", so a deliberate
+// zero (written in code as &v) is never clobbered by the default.
 type DCSpec struct {
 	// Name labels the DC in results; unique within a fleet.
 	Name string `json:"name"`
@@ -63,62 +66,31 @@ type DCSpec struct {
 	PUE float64 `json:"pue,omitempty"`
 
 	// Share is the DC's dispatch weight (uniform and follow-the-load
-	// dispatch) and its fraction of a relative fleet's pool. 0 defaults
-	// to 1 unless ShareSet records a deliberate zero — a drained DC
-	// that stays in the fleet (its fixed pool keeps reporting) but
-	// receives no VMs from any dispatcher and no slice of a relative
-	// pool.
-	Share float64 `json:"share,omitempty"`
-
-	// ShareSet reports whether Share was explicitly present in the
-	// DC's JSON (or set by a caller building specs in code) — the same
-	// presence tracking StaticPowerSet provides, so an explicit
-	// `"share": 0` drains the DC instead of being clobbered to the
-	// default weight 1.
-	ShareSet bool `json:"-"`
+	// dispatch) and its fraction of a relative fleet's pool; nil means
+	// 1. An explicit 0 drains the DC: it stays in the fleet (its fixed
+	// pool keeps reporting) but receives no VMs and no pool slice.
+	Share *float64 `json:"share,omitempty"`
 
 	// LatencyMs is the DC's network distance from the load source;
 	// follow-the-load dispatch discounts a DC's weight by it, and the
-	// latency-weighted QoS metric scales violations by it. 0 defaults
-	// to 10 ms unless LatencyMsSet records a deliberate zero (a
-	// co-located DC whose violations carry no WAN weight).
-	LatencyMs float64 `json:"latency_ms,omitempty"`
-
-	// LatencyMsSet reports whether LatencyMs was explicitly present
-	// in the DC's JSON (or set by a caller building specs in code) —
-	// the same presence tracking StaticPowerSet provides, so an
-	// explicit `"latency_ms": 0` survives normalisation.
-	LatencyMsSet bool `json:"-"`
+	// latency-weighted QoS metric scales violations by it. nil
+	// defaults to 10 ms; an explicit 0 is a co-located DC whose
+	// violations carry no WAN weight.
+	LatencyMs *float64 `json:"latency_ms,omitempty"`
 
 	// Server selects the DC's server platform: "ntc" (default) or
 	// "conventional" (the Intel E5-2620 class comparison machine).
 	Server string `json:"server,omitempty"`
 
 	// StaticPowerW overrides the per-server static platform power
-	// (motherboard/fan/disk) for this DC; 0 inherits the scenario's
-	// override (or the model default) unless StaticPowerSet records
-	// that the zero was written deliberately.
-	StaticPowerW float64 `json:"static_power_w,omitempty"`
-
-	// StaticPowerSet reports whether StaticPowerW was explicitly
-	// present in the DC's JSON (or set by a caller building specs in
-	// code). It is what lets a fleet file say `"static_power_w": 0`
-	// and mean it — a deliberately zero-static-power DC — instead of
-	// being clobbered by the scenario default.
-	StaticPowerSet bool `json:"-"`
+	// (motherboard/fan/disk) for this DC; nil inherits the scenario's
+	// override (or the model default), and 0 means zero static power.
+	StaticPowerW *float64 `json:"static_power_w,omitempty"`
 
 	// GridIntensity is the DC's grid carbon intensity in gCO2eq/kWh —
-	// a scalar mix or a 24-hour diurnal profile. Empty defaults to
-	// DefaultGridIntensity unless GridIntensitySet records a
-	// deliberate zero-carbon grid.
+	// a scalar mix or a 24-hour diurnal profile. nil defaults to
+	// DefaultGridIntensity; IntensityProfile{0} is a zero-carbon grid.
 	GridIntensity IntensityProfile `json:"grid_intensity,omitempty"`
-
-	// GridIntensitySet reports whether grid_intensity was explicitly
-	// present in the DC's JSON (or set by a caller building specs in
-	// code) — the same presence tracking StaticPowerSet provides, so
-	// an explicit `"grid_intensity": 0` (a zero-carbon grid) is not
-	// clobbered by the nonzero default.
-	GridIntensitySet bool `json:"-"`
 
 	// EmbodiedKgPerVCPU and EmbodiedKgPerGB are the server's embodied
 	// manufacturing carbon, kgCO2eq per vCPU and per GB of DRAM,
@@ -128,55 +100,8 @@ type DCSpec struct {
 	EmbodiedKgPerGB   float64 `json:"embodied_kg_per_gb,omitempty"`
 }
 
-// dcSpecJSON mirrors DCSpec with a pointer static-power field, so
-// decoding can tell an explicit `"static_power_w": 0` from an absent
-// one (see StaticPowerSet).
-type dcSpecJSON struct {
-	Name              string            `json:"name"`
-	Servers           int               `json:"servers,omitempty"`
-	PUE               float64           `json:"pue,omitempty"`
-	Share             *float64          `json:"share,omitempty"`
-	LatencyMs         *float64          `json:"latency_ms,omitempty"`
-	Server            string            `json:"server,omitempty"`
-	StaticPowerW      *float64          `json:"static_power_w,omitempty"`
-	GridIntensity     *IntensityProfile `json:"grid_intensity,omitempty"`
-	EmbodiedKgPerVCPU float64           `json:"embodied_kg_per_vcpu,omitempty"`
-	EmbodiedKgPerGB   float64           `json:"embodied_kg_per_gb,omitempty"`
-}
-
-// UnmarshalJSON decodes a DC spec, tracking static-power and latency
-// presence (both have meaningful explicit zeros the defaulting must
-// not clobber) and rejecting unknown fields (ParseFleetJSON's outer
-// decoder cannot see inside a custom unmarshaler, so the strictness
-// is re-applied here).
-func (d *DCSpec) UnmarshalJSON(data []byte) error {
-	var raw dcSpecJSON
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&raw); err != nil {
-		return err
-	}
-	*d = DCSpec{Name: raw.Name, Servers: raw.Servers, PUE: raw.PUE,
-		Server: raw.Server, EmbodiedKgPerVCPU: raw.EmbodiedKgPerVCPU,
-		EmbodiedKgPerGB: raw.EmbodiedKgPerGB}
-	if raw.Share != nil {
-		d.Share = *raw.Share
-		d.ShareSet = true
-	}
-	if raw.LatencyMs != nil {
-		d.LatencyMs = *raw.LatencyMs
-		d.LatencyMsSet = true
-	}
-	if raw.StaticPowerW != nil {
-		d.StaticPowerW = *raw.StaticPowerW
-		d.StaticPowerSet = true
-	}
-	if raw.GridIntensity != nil {
-		d.GridIntensity = *raw.GridIntensity
-		d.GridIntensitySet = true
-	}
-	return nil
-}
+// f64 returns a pointer to v, for setting DCSpec's optional fields.
+func f64(v float64) *float64 { return &v }
 
 // Fleet is a set of datacenters behind one dispatch policy.
 type Fleet struct {
@@ -210,16 +135,16 @@ func builtinFleet(name string) (Fleet, bool) {
 		// plain single-datacenter simulation exactly (PUE 1, full
 		// share, NTC servers).
 		return Fleet{Name: "single", DCs: []DCSpec{
-			{Name: "dc0", Share: 1, PUE: 1.0},
+			{Name: "dc0", Share: f64(1), PUE: 1.0},
 		}}, true
 	case "triad":
 		// Three heterogeneous DCs: a large efficient NTC core site, a
 		// mid-size metro site with a heavier static platform, and a
 		// small low-latency edge site on conventional servers.
 		return Fleet{Name: "triad", DCs: []DCSpec{
-			{Name: "core", Share: 0.5, PUE: 1.12, LatencyMs: 40},
-			{Name: "metro", Share: 0.3, PUE: 1.25, LatencyMs: 15, StaticPowerW: 25},
-			{Name: "edge", Share: 0.2, PUE: 1.5, LatencyMs: 5, Server: "conventional"},
+			{Name: "core", Share: f64(0.5), PUE: 1.12, LatencyMs: f64(40)},
+			{Name: "metro", Share: f64(0.3), PUE: 1.25, LatencyMs: f64(15), StaticPowerW: f64(25)},
+			{Name: "edge", Share: f64(0.2), PUE: 1.5, LatencyMs: f64(5), Server: "conventional"},
 		}}, true
 	case "triad-carbon":
 		// The triad's carbon study variant: three NTC sites whose grids
@@ -230,14 +155,14 @@ func builtinFleet(name string) (Fleet, bool) {
 		// follow the sun across the first two; static uniform dispatch
 		// pays the share-weighted average.
 		return Fleet{Name: "triad-carbon", DCs: []DCSpec{
-			{Name: "solar", Share: 0.4, PUE: 1.15, LatencyMs: 30,
-				GridIntensity: dayNightProfile(60, 650), GridIntensitySet: true,
+			{Name: "solar", Share: f64(0.4), PUE: 1.15, LatencyMs: f64(30),
+				GridIntensity:     dayNightProfile(60, 650),
 				EmbodiedKgPerVCPU: 25, EmbodiedKgPerGB: 1.5},
-			{Name: "wind", Share: 0.35, PUE: 1.2, LatencyMs: 20,
-				GridIntensity: dayNightProfile(500, 90), GridIntensitySet: true,
+			{Name: "wind", Share: f64(0.35), PUE: 1.2, LatencyMs: f64(20),
+				GridIntensity:     dayNightProfile(500, 90),
 				EmbodiedKgPerVCPU: 25, EmbodiedKgPerGB: 1.5},
-			{Name: "coal", Share: 0.25, PUE: 1.1, LatencyMs: 10,
-				GridIntensity: IntensityProfile{700}, GridIntensitySet: true,
+			{Name: "coal", Share: f64(0.25), PUE: 1.1, LatencyMs: f64(10),
+				GridIntensity:     IntensityProfile{700},
 				EmbodiedKgPerVCPU: 25, EmbodiedKgPerGB: 1.5},
 		}}, true
 	default:
@@ -259,42 +184,22 @@ func dayNightProfile(day, night float64) IntensityProfile {
 	return p
 }
 
-// ServerPlatforms lists the per-DC server platform names.
-func ServerPlatforms() []string { return []string{"ntc", "conventional"} }
-
-// ServerPlatform resolves a DCSpec server name into its power model
-// and performance platform, applying an optional static-power
-// override (motherboard/fan/disk watts; 0 keeps the model default).
-func ServerPlatform(name string, staticW float64) (*power.ServerModel, *platform.Platform, error) {
+// serverPlatform resolves the DC's server name into its power model
+// and performance platform. A set StaticPowerW (motherboard/fan/disk
+// watts, an explicit 0 included) replaces the model's static power.
+func (d DCSpec) serverPlatform() (*power.ServerModel, *platform.Platform, error) {
 	var m *power.ServerModel
 	var p *platform.Platform
-	switch name {
+	switch d.Server {
 	case "", "ntc":
 		m, p = power.NTCServer(), platform.NTCServer()
 	case "conventional":
 		m, p = power.IntelE5_2620(), platform.IntelX5650()
 	default:
-		return nil, nil, fmt.Errorf("topology: unknown server platform %q (known: %s)",
-			name, strings.Join(ServerPlatforms(), ", "))
+		return nil, nil, fmt.Errorf("topology: unknown server platform %q (known: ntc, conventional)", d.Server)
 	}
-	if staticW > 0 {
-		m.Motherboard = units.Watts(staticW)
-	}
-	return m, p, nil
-}
-
-// serverPlatform resolves the DC's server platform with its effective
-// static power: a positive StaticPowerW overrides the model default,
-// and an explicitly-set zero (StaticPowerSet) forces a zero-static
-// platform — the "deliberately zero static power" case a plain 0
-// cannot express through ServerPlatform.
-func (d DCSpec) serverPlatform() (*power.ServerModel, *platform.Platform, error) {
-	m, p, err := ServerPlatform(d.Server, d.StaticPowerW)
-	if err != nil {
-		return nil, nil, err
-	}
-	if d.StaticPowerSet && d.StaticPowerW == 0 {
-		m.Motherboard = 0
+	if d.StaticPowerW != nil {
+		m.Motherboard = units.Watts(*d.StaticPowerW)
 	}
 	return m, p, nil
 }
@@ -309,6 +214,7 @@ func (f Fleet) Validate() error {
 			f.Name, f.Dispatcher, strings.Join(DispatcherNames(), ", "))
 	}
 	seen := map[string]bool{}
+	dispatchable := false
 	for i, dc := range f.DCs {
 		if dc.Name == "" {
 			return fmt.Errorf("topology: fleet %q: DC %d has no name", f.Name, i)
@@ -317,40 +223,40 @@ func (f Fleet) Validate() error {
 			return fmt.Errorf("topology: fleet %q: duplicate DC name %q", f.Name, dc.Name)
 		}
 		seen[dc.Name] = true
-		if dc.Servers < 0 {
-			return fmt.Errorf("topology: fleet %q: DC %q: Servers must be >= 0, got %d", f.Name, dc.Name, dc.Servers)
-		}
-		if dc.PUE != 0 && dc.PUE < 1 {
-			return fmt.Errorf("topology: fleet %q: DC %q: PUE %g < 1", f.Name, dc.Name, dc.PUE)
-		}
-		if dc.Share < 0 || dc.LatencyMs < 0 || dc.StaticPowerW < 0 {
-			return fmt.Errorf("topology: fleet %q: DC %q: negative share/latency/static power", f.Name, dc.Name)
-		}
-		if err := dc.GridIntensity.validate(); err != nil {
+		if err := dc.validate(); err != nil {
 			return fmt.Errorf("topology: fleet %q: DC %q: %w", f.Name, dc.Name, err)
 		}
-		if dc.EmbodiedKgPerVCPU < 0 || dc.EmbodiedKgPerGB < 0 {
-			return fmt.Errorf("topology: fleet %q: DC %q: negative embodied carbon", f.Name, dc.Name)
-		}
-		if _, _, err := ServerPlatform(dc.Server, 0); err != nil {
-			return fmt.Errorf("topology: fleet %q: DC %q: %w", f.Name, dc.Name, err)
-		}
-	}
-	// At least one DC must be dispatchable: a DC with an explicit
-	// `"share": 0` is drained (receives no VMs), and a fleet where
-	// every DC is drained has nowhere to put the workload.
-	dispatchable := false
-	for _, dc := range f.DCs {
-		if dc.Share > 0 || !dc.ShareSet {
-			dispatchable = true
-			break
-		}
+		// A DC with an explicit share 0 is drained (receives no VMs).
+		dispatchable = dispatchable || dc.Share == nil || *dc.Share > 0
 	}
 	if !dispatchable {
 		return fmt.Errorf("topology: fleet %q: every DC has share 0 — no dispatchable datacenter", f.Name)
 	}
 	return nil
 }
+
+// validate checks one DC's fields and that its server platform resolves.
+func (d DCSpec) validate() error {
+	switch {
+	case d.Servers < 0:
+		return fmt.Errorf("Servers must be >= 0, got %d", d.Servers)
+	case d.PUE != 0 && d.PUE < 1:
+		return fmt.Errorf("PUE %g < 1", d.PUE)
+	case negative(d.Share) || negative(d.LatencyMs) || negative(d.StaticPowerW):
+		return errors.New("negative share/latency/static power")
+	}
+	if err := d.GridIntensity.validate(); err != nil {
+		return err
+	}
+	if d.EmbodiedKgPerVCPU < 0 || d.EmbodiedKgPerGB < 0 {
+		return errors.New("negative embodied carbon")
+	}
+	_, _, err := d.serverPlatform()
+	return err
+}
+
+// negative reports whether an optional field is set below zero.
+func negative(p *float64) bool { return p != nil && *p < 0 }
 
 func knownDispatcher(name string) bool {
 	for _, d := range DispatcherNames() {
@@ -362,9 +268,10 @@ func knownDispatcher(name string) bool {
 }
 
 // normalized fills the per-DC defaults (PUE 1.0, Share 1, 10 ms
-// latency, uniform dispatch) so the dispatchers and the runner never
-// see accidental zero values. An explicit `"share": 0` (ShareSet) is
-// not an accident — it survives as a drained DC the dispatchers skip.
+// latency, DefaultGridIntensity, uniform dispatch) so the dispatchers
+// and the runner never see accidental zero values and can dereference
+// Share and LatencyMs unchecked. A set field keeps its value: an
+// explicit `"share": 0` survives as a drained DC the dispatchers skip.
 func (f Fleet) normalized() Fleet {
 	if f.Dispatcher == "" {
 		f.Dispatcher = "uniform"
@@ -375,13 +282,13 @@ func (f Fleet) normalized() Fleet {
 		if dcs[i].PUE == 0 {
 			dcs[i].PUE = 1.0
 		}
-		if dcs[i].Share == 0 && !dcs[i].ShareSet {
-			dcs[i].Share = 1
+		if dcs[i].Share == nil {
+			dcs[i].Share = f64(1)
 		}
-		if dcs[i].LatencyMs == 0 && !dcs[i].LatencyMsSet {
-			dcs[i].LatencyMs = 10
+		if dcs[i].LatencyMs == nil {
+			dcs[i].LatencyMs = f64(10)
 		}
-		if len(dcs[i].GridIntensity) == 0 && !dcs[i].GridIntensitySet {
+		if len(dcs[i].GridIntensity) == 0 {
 			dcs[i].GridIntensity = IntensityProfile{DefaultGridIntensity}
 		}
 	}
@@ -406,13 +313,13 @@ func (f Fleet) Resolve(maxServers int) Fleet {
 			fixed += dc.Servers
 			continue
 		}
-		if dc.Share <= 0 {
+		if *dc.Share <= 0 {
 			// A drained relative DC hosts nothing: it gets no slice of
 			// the pool and must not claim the one-server floor.
 			continue
 		}
 		relIdx = append(relIdx, i)
-		total += dc.Share
+		total += *dc.Share
 	}
 	if len(relIdx) == 0 || total <= 0 {
 		return f
@@ -428,7 +335,7 @@ func (f Fleet) Resolve(maxServers int) Fleet {
 	}
 	rems := make([]rem, 0, len(relIdx))
 	for _, i := range relIdx {
-		exact := float64(pool) * f.DCs[i].Share / total
+		exact := float64(pool) * *f.DCs[i].Share / total
 		n := int(exact)
 		// A resolved DC must own at least one server: Servers 0 means
 		// "unbounded" everywhere downstream (dcsim's pool cap, the

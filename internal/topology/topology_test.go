@@ -3,6 +3,7 @@ package topology
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/alloc"
@@ -169,7 +170,7 @@ func TestValidateRejectsBadFleets(t *testing.T) {
 		{Name: "disp", Dispatcher: "warp", DCs: []DCSpec{{Name: "a"}}},
 		// Every DC drained by an explicit share 0: nowhere to dispatch.
 		{Name: "alldrained", DCs: []DCSpec{
-			{Name: "a", ShareSet: true}, {Name: "b", ShareSet: true}}},
+			{Name: "a", Share: f64(0)}, {Name: "b", Share: f64(0)}}},
 	}
 	for _, f := range cases {
 		if err := f.Validate(); err == nil {
@@ -229,9 +230,9 @@ func TestResolveSplitsPoolByShare(t *testing.T) {
 	// means "unbounded" downstream, which would silently lift the
 	// fleet's pool cap. The pool still sums exactly.
 	skew := Fleet{Name: "skew", DCs: []DCSpec{
-		{Name: "big", Share: 0.9},
-		{Name: "s1", Share: 0.05},
-		{Name: "s2", Share: 0.05},
+		{Name: "big", Share: f64(0.9)},
+		{Name: "s1", Share: f64(0.05)},
+		{Name: "s2", Share: f64(0.05)},
 	}}
 	got = skew.Resolve(10)
 	total = 0
@@ -287,8 +288,8 @@ func TestDispatchPartitions(t *testing.T) {
 func TestUniformDispatchTracksShares(t *testing.T) {
 	tr := testTrace(t, 1, 100, 1)
 	f := Fleet{Name: "pair", DCs: []DCSpec{
-		{Name: "big", Share: 0.75},
-		{Name: "small", Share: 0.25},
+		{Name: "big", Share: f64(0.75)},
+		{Name: "small", Share: f64(0.25)},
 	}}
 	asg, err := DispatchAt(f, tr, 0, 0)
 	if err != nil {
@@ -330,7 +331,7 @@ func TestGreedyProportionalFillsNTCFirst(t *testing.T) {
 func TestGreedyProportionalSeesStaticPowerOverrides(t *testing.T) {
 	tr := testTrace(t, 1, 20, 1)
 	f := Fleet{Name: "static", Dispatcher: "greedy-proportional", DCs: []DCSpec{
-		{Name: "heavy", Servers: 100, StaticPowerW: 45},
+		{Name: "heavy", Servers: 100, StaticPowerW: f64(45)},
 		{Name: "light", Servers: 100},
 	}}
 	asg, err := DispatchAt(f, tr, 0, 0)
@@ -360,8 +361,8 @@ func TestFollowTheLoadObservesHistoryOnly(t *testing.T) {
 		{ID: 1, CPU: series(0, 100), Mem: make([]float64, 2*n)},
 	}}
 	f := Fleet{Name: "peek", Dispatcher: "follow-the-load", DCs: []DCSpec{
-		{Name: "near", LatencyMs: 1},
-		{Name: "far", LatencyMs: 100},
+		{Name: "near", LatencyMs: f64(1)},
+		{Name: "far", LatencyMs: f64(100)},
 	}}
 
 	// History window: VM0 is the observed-heavy VM and takes the near
@@ -390,8 +391,8 @@ func TestFollowTheLoadObservesHistoryOnly(t *testing.T) {
 func TestFollowTheLoadPrefersLowLatency(t *testing.T) {
 	tr := testTrace(t, 1, 90, 1)
 	f := Fleet{Name: "lat", Dispatcher: "follow-the-load", DCs: []DCSpec{
-		{Name: "far", LatencyMs: 100},
-		{Name: "near", LatencyMs: 5},
+		{Name: "far", LatencyMs: f64(100)},
+		{Name: "near", LatencyMs: f64(5)},
 	}}
 	asg, err := DispatchAt(f, tr, 0, 0)
 	if err != nil {
@@ -519,14 +520,14 @@ func TestFleetRunConservesVMsAndEnergy(t *testing.T) {
 }
 
 // TestZeroShareDCIsNeverStarved pins the zero-share edge case: a DC
-// whose spec leaves Share at 0 gets the documented default of 1 — it
+// whose spec leaves Share unset gets the documented default of 1 — it
 // participates in dispatch and pool resolution like an explicit
 // share-1 DC, and is never silently starved (or, worse, divided by).
 func TestZeroShareDCIsNeverStarved(t *testing.T) {
 	tr := testTrace(t, 3, 40, 1)
 	f := Fleet{Name: "pair", DCs: []DCSpec{
-		{Name: "zero"}, // Share 0 -> defaults to 1
-		{Name: "one", Share: 1},
+		{Name: "zero"}, // Share unset -> defaults to 1
+		{Name: "one", Share: f64(1)},
 	}}
 
 	for _, disp := range DispatcherNames() {
@@ -565,9 +566,9 @@ func TestZeroShareDCIsNeverStarved(t *testing.T) {
 func TestExplicitZeroShareDrainsDC(t *testing.T) {
 	tr := testTrace(t, 5, 40, 1)
 	f := Fleet{Name: "drainedpair", DCs: []DCSpec{
-		{Name: "drained", Share: 0, ShareSet: true},
-		{Name: "a", Share: 1},
-		{Name: "b", Share: 1, LatencyMs: 25},
+		{Name: "drained", Share: f64(0)},
+		{Name: "a", Share: f64(1)},
+		{Name: "b", Share: f64(1), LatencyMs: f64(25)},
 	}}
 	for _, disp := range DispatcherNames() {
 		f.Dispatcher = disp
@@ -586,7 +587,7 @@ func TestExplicitZeroShareDrainsDC(t *testing.T) {
 }
 
 // TestShareZeroSurvivesJSON pins the decode side of the fix: an
-// explicit `"share": 0` is recorded as set and survives
+// explicit `"share": 0` decodes as a set zero and survives
 // normalisation, while an absent share still defaults to 1.
 func TestShareZeroSurvivesJSON(t *testing.T) {
 	f, err := ParseFleetJSON([]byte(
@@ -594,22 +595,59 @@ func TestShareZeroSurvivesJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.DCs[0].ShareSet || f.DCs[0].Share != 0 {
-		t.Errorf("explicit share 0 decoded as {Share: %g, ShareSet: %v}, want {0, true}",
-			f.DCs[0].Share, f.DCs[0].ShareSet)
+	if p := f.DCs[0].Share; p == nil || *p != 0 {
+		t.Errorf("explicit share 0 decoded as %v, want a set 0", p)
 	}
-	if f.DCs[1].ShareSet {
+	if f.DCs[1].Share != nil {
 		t.Error("absent share decoded as explicitly set")
 	}
 	n := f.normalized()
-	if n.DCs[0].Share != 0 {
-		t.Errorf("normalisation clobbered the explicit zero share to %g", n.DCs[0].Share)
+	if *n.DCs[0].Share != 0 {
+		t.Errorf("normalisation clobbered the explicit zero share to %g", *n.DCs[0].Share)
 	}
-	if n.DCs[1].Share != 1 {
-		t.Errorf("absent share normalised to %g, want the default 1", n.DCs[1].Share)
+	if *n.DCs[1].Share != 1 {
+		t.Errorf("absent share normalised to %g, want the default 1", *n.DCs[1].Share)
 	}
 	if err := f.Validate(); err != nil {
 		t.Errorf("fleet with one drained and one live DC must validate, got: %v", err)
+	}
+}
+
+// TestNullFieldsNormaliseLikeAbsentOnes pins null parity: a DC that
+// writes null for share, latency_ms, static_power_w or grid_intensity
+// decodes exactly like one that omits them, and resolves to the same
+// defaults — weight 1, 10 ms, the scenario's static power and
+// DefaultGridIntensity — never to a zero.
+func TestNullFieldsNormaliseLikeAbsentOnes(t *testing.T) {
+	nulls, err := ParseFleetJSON([]byte(`{"name":"f","dcs":[{"name":"a",
+		"share":null,"latency_ms":null,"static_power_w":null,"grid_intensity":null}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	absent, err := ParseFleetJSON([]byte(`{"name":"f","dcs":[{"name":"a"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(nulls, absent) {
+		t.Errorf("null fields decoded as %+v, absent ones as %+v", nulls.DCs[0], absent.DCs[0])
+	}
+	for _, f := range []Fleet{nulls, absent} {
+		cfg := rebalanceConfig(t, "single", RebalanceSpec{})
+		cfg.Fleet, cfg.StaticPowerW = f, 30
+		st, err := NewStepper(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dc := st.Fleet().DCs[0]
+		if *dc.Share != 1 || *dc.LatencyMs != 10 {
+			t.Errorf("share/latency resolved to %g/%g, want the defaults 1/10", *dc.Share, *dc.LatencyMs)
+		}
+		if dc.StaticPowerW == nil || *dc.StaticPowerW != 30 {
+			t.Errorf("static power resolved to %v, want the scenario's 30 W", dc.StaticPowerW)
+		}
+		if got := dc.GridIntensity; len(got) != 1 || got[0] != DefaultGridIntensity {
+			t.Errorf("grid intensity resolved to %v, want [%g]", got, DefaultGridIntensity)
+		}
 	}
 }
 
@@ -619,9 +657,9 @@ func TestShareZeroSurvivesJSON(t *testing.T) {
 // a running server).
 func TestResolveExcludesDrainedDCFromPool(t *testing.T) {
 	f := Fleet{Name: "x", DCs: []DCSpec{
-		{Name: "drained", ShareSet: true},
-		{Name: "a", Share: 3},
-		{Name: "b", Share: 1},
+		{Name: "drained", Share: f64(0)},
+		{Name: "a", Share: f64(3)},
+		{Name: "b", Share: f64(1)},
 	}}
 	r := f.Resolve(40)
 	if r.DCs[0].Servers != 0 {

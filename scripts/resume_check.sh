@@ -26,13 +26,15 @@ go build -o "$tmp/ntc-sweep" ./cmd/ntc-sweep
 
 # 24 scenarios heavy enough (2000 VMs each) that the sweep takes
 # seconds: the kill window between the first journaled batch and the
-# end of the grid is wide.
+# end of the grid is wide. run_grid is for foreground runs only: a
+# backgrounded shell function makes $! a subshell, so the coordinators
+# below are started by calling the binary directly.
+grid_flags="-policies EPACT,COAT,COAT-OPT,FFD,Verma-binary,load-balance
+    -vms 2000 -max-servers 2000 -days 1 -history 1
+    -predictors oracle,last-value -transitions none,default"
 run_grid() {
-    "$tmp/ntc-sweep" \
-        -policies EPACT,COAT,COAT-OPT,FFD,Verma-binary,load-balance \
-        -vms 2000 -max-servers 2000 -days 1 -history 1 \
-        -predictors oracle,last-value -transitions none,default \
-        "$@"
+    # shellcheck disable=SC2086 # grid_flags is a word list.
+    "$tmp/ntc-sweep" $grid_flags "$@"
 }
 
 # Scrape the address a -serve coordinator bound from its stderr log.
@@ -68,7 +70,8 @@ fi
 
 # Coordinator A journals to the checkpoint dir; one worker grinds the
 # grid until A is kill -9'd mid-run.
-run_grid -serve 127.0.0.1:0 -checkpoint-dir "$tmp/ck" -csv "$tmp/a.csv" 2> "$tmp/a.log" &
+# shellcheck disable=SC2086 # grid_flags is a word list.
+"$tmp/ntc-sweep" $grid_flags -serve 127.0.0.1:0 -checkpoint-dir "$tmp/ck" -csv "$tmp/a.csv" 2> "$tmp/a.log" &
 coord_pid=$!
 addr=$(wait_addr "$tmp/a.log")
 "$tmp/ntc-sweep" -worker "$addr" -quiet 2> "$tmp/worker_a.log" &
@@ -84,6 +87,13 @@ while [ "$(count_rows)" -lt 1 ]; do
     fi
     sleep 0.05
 done
+# The kill must land on the journaling coordinator itself, not on a
+# shell wrapped around it.
+comm=$(ps -o comm= -p "$coord_pid" || true)
+if [ "$comm" != "ntc-sweep" ]; then
+    echo "resume gate FAILED: pid $coord_pid is '$comm', not the ntc-sweep coordinator" >&2
+    exit 1
+fi
 kill -9 "$coord_pid"
 wait "$coord_pid" 2>/dev/null || true
 coord_pid=""
