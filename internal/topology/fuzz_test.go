@@ -44,7 +44,8 @@ func FuzzParseFleetJSON(f *testing.F) {
 			t.Fatalf("marshalled fleet %s does not parse back: %v", out, err)
 		}
 		if !reflect.DeepEqual(fleet, back) {
-			t.Fatalf("round trip changed the fleet:\n in  %+v\n out %+v\n via %s", fleet, back, out)
+			again, _ := json.Marshal(back)
+			t.Fatalf("round trip changed the fleet: %q marshalled as %s, which parsed back as %s", data, out, again)
 		}
 	})
 }
