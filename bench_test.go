@@ -1,7 +1,8 @@
 package ntcdc
 
 // Benchmark harness: one testing.B benchmark per table and figure of
-// the paper (see DESIGN.md §4), plus the ablation benches for the
+// the paper (see DESIGN.md §4; Figs 4-6 come from one simulation, so
+// BenchmarkWeek covers all three), plus the ablation benches for the
 // design decisions DESIGN.md §5 calls out.
 //
 // The data-center benches (Figs 4-7) run at a reduced scale (150 VMs,
@@ -18,6 +19,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/sweep"
 	"repro/internal/sweep/dist"
+	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -70,14 +72,9 @@ func benchDC(evalDays int, arima bool) experiments.DCConfig {
 	return cfg
 }
 
-func BenchmarkFig4(b *testing.B) { benchWeek(b) }
-func BenchmarkFig5(b *testing.B) { benchWeek(b) }
-func BenchmarkFig6(b *testing.B) { benchWeek(b) }
-
-// benchWeek runs the shared Figs. 4-6 experiment (one simulation
-// produces all three series).
-func benchWeek(b *testing.B) {
-	b.Helper()
+// BenchmarkWeek runs the shared Figs. 4-6 experiment: one simulation
+// produces all three series, so one benchmark covers them.
+func BenchmarkWeek(b *testing.B) {
 	cfg := benchDC(1, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -290,6 +287,60 @@ func BenchmarkCarbonFleetWeek(b *testing.B) {
 		}
 		if res.Runs[0].OperationalGCO2 <= 0 || res.Runs[0].EmbodiedGCO2 <= 0 {
 			b.Fatal("carbon accounting inert")
+		}
+	}
+}
+
+// BenchmarkFleetFork measures one live what-if fork: a
+// follow-the-sun fleet (150 VMs, 7 evaluated days, oracle predictions,
+// carbon-greedy dispatch re-planned every 6 slots) is stepped to the
+// middle of the week once, outside the timer; each iteration clones
+// it and steps the clone to the end of the week, as ntc-serve's fork
+// endpoint does.
+func BenchmarkFleetFork(b *testing.B) {
+	rn, err := sweep.NewRunner(sweep.Grid{
+		Policies:    []string{"EPACT"},
+		VMs:         []int{150},
+		MaxServers:  []int{150},
+		EvalDays:    7,
+		Seeds:       []int64{2018},
+		Predictors:  []string{"oracle"},
+		Transitions: []sweep.TransitionSpec{{Name: "default"}},
+		Topologies:  []string{"carbon-greedy@triad-carbon"},
+		Rebalances:  []string{"epoch:6@carbon-greedy"},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	scens, err := sweep.Expand(rn.Grid())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, err := rn.StepperConfig(scens[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := topology.NewStepper(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const forkSlot = 84
+	for s := 0; s < forkSlot; s++ {
+		if _, err := st.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fork, err := st.Clone()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for !fork.Done() {
+			if _, err := fork.Step(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

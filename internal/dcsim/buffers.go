@@ -77,7 +77,7 @@ type runState struct {
 }
 
 func newRunState(cfg *Config) (*runState, error) {
-	if err := validate(cfg); err != nil {
+	if err := validateShape(cfg); err != nil {
 		return nil, err
 	}
 	spec := alloc.ServerSpec{

@@ -172,7 +172,14 @@ func (r *Result) ActiveServersPerSlot() []int {
 // level and reusable scratch buffers keep the slot loop allocation-free.
 // Run is a Stepper driven to exhaustion, so a caller stepping the same
 // window one slot at a time computes the identical result.
+//
+// Run checks every trace sample before it builds the stepper, so a
+// direct caller gets the whole contract of validate; NewStepper alone
+// checks only the shape (see its doc comment).
 func Run(cfg Config) (*Result, error) {
+	if err := validate(&cfg); err != nil {
+		return nil, err
+	}
 	st, err := NewStepper(cfg)
 	if err != nil {
 		return nil, err
@@ -187,7 +194,7 @@ func Run(cfg Config) (*Result, error) {
 
 // residentSets fills out with each VM's resident memory in bytes at
 // sample abs (its utilisation of the 1 GB container). The bound is an
-// invariant established by validate — the evaluation window lies
+// invariant established by validateShape — the evaluation window lies
 // inside the trace and all rows have uniform length — so an
 // out-of-range sample means the trace was swapped or truncated after
 // validation and is reported as an error rather than silently priced
@@ -203,7 +210,21 @@ func residentSets(tr *trace.Trace, abs int, out []float64) error {
 	return nil
 }
 
+// validate checks cfg whole: its shape (validateShape) and every
+// sample of its trace (trace.Trace.Validate).
 func validate(cfg *Config) error {
+	if err := validateShape(cfg); err != nil {
+		return err
+	}
+	return cfg.Trace.Validate()
+}
+
+// validateShape is validate without the per-sample scan of the trace:
+// nil fields, the trace's VM count, row lengths and classes,
+// prediction rows, horizon and slot window. It costs O(VMs), not
+// O(VMs × samples), so a stepper built per epoch or per fork does not
+// rescan history it never reads.
+func validateShape(cfg *Config) error {
 	switch {
 	case cfg.Trace == nil:
 		return errors.New("dcsim: nil trace")
@@ -218,7 +239,7 @@ func validate(cfg *Config) error {
 	case cfg.HistoryDays <= 0 || cfg.EvalDays <= 0:
 		return errors.New("dcsim: HistoryDays and EvalDays must be positive")
 	}
-	if err := cfg.Trace.Validate(); err != nil {
+	if err := cfg.Trace.ValidateShape(); err != nil {
 		return err
 	}
 	wantSamples := cfg.EvalDays * trace.SamplesPerDay

@@ -3,6 +3,7 @@ package dcsim
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 	"weak"
@@ -431,5 +432,34 @@ func TestInvalidTraceRecheckedEveryCall(t *testing.T) {
 	tr.VMs[1].CPU[5] = good
 	if err := validate(&cfg); err != nil {
 		t.Fatalf("repaired trace rejected (failure was cached?): %v", err)
+	}
+}
+
+// Run checks the whole trace before it builds its stepper: a NaN in
+// the history, which no evaluated slot reads, and a VM class outside
+// the replay's class tables must both come back as errors, not as a
+// result or a panic.
+func TestRunRejectsInvalidTrace(t *testing.T) {
+	cases := []struct {
+		name  string
+		spoil func(tr *trace.Trace)
+		want  string
+	}{
+		{"nan-in-history", func(tr *trace.Trace) { tr.VMs[1].CPU[5] = math.NaN() }, "outside [0,100]"},
+		{"class-out-of-range", func(tr *trace.Trace) { tr.VMs[2].Class = 7 }, "class 7"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr := testTrace(t, 4)
+			cfg := testConfig(t, tr, alloc.NewCOAT(alloc.ServerSpec{}), oracle(t, tr))
+			c.spoil(tr)
+			res, err := Run(cfg)
+			if err == nil {
+				t.Fatalf("Run accepted the trace: %d slots", len(res.Slots))
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Run error = %v, want mention of %q", err, c.want)
+			}
+		})
 	}
 }

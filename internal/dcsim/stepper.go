@@ -31,8 +31,16 @@ type Stepper struct {
 	next int
 }
 
-// NewStepper validates cfg and builds the run state (lookup tables,
-// scratch buffers) without simulating any slot.
+// NewStepper validates cfg's shape and builds the run state (lookup
+// tables, scratch buffers) without simulating any slot.
+//
+// It does not scan the trace's samples: the caller that brings the
+// trace into the simulation checks them once (Run, and
+// topology.NewStepper for every epoch and fork it builds), and a
+// stepper built per epoch must not rescan history it never reads.
+// That trust holds because nothing writes a trace once a stepper is
+// built over it except LiveFeed.Observe, which range-checks every
+// sample it writes.
 func NewStepper(cfg Config) (*Stepper, error) {
 	s := &Stepper{cfg: cfg}
 	st, err := newRunState(&s.cfg)

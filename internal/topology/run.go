@@ -210,7 +210,10 @@ func SeriesEPScore(slotMJ []float64) float64 {
 
 // subTrace views a subset of a trace's VMs (ascending idxs). VM data
 // is shared read-only with the parent — dispatch happens after any
-// churn mutation, so DC simulations never alias mutable state.
+// churn mutation, so DC simulations never alias mutable state. The
+// view inherits the parent's sample check from NewStepper: after it,
+// only dcsim.LiveFeed.Observe writes the shared rows, and it
+// range-checks every sample it writes.
 func subTrace(tr *trace.Trace, idxs []int) *trace.Trace {
 	out := &trace.Trace{Interval: tr.Interval, VMs: make([]*trace.VM, len(idxs))}
 	for i, v := range idxs {

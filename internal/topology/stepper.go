@@ -115,12 +115,18 @@ type Stepper struct {
 // state without simulating any slot. Configuration errors that epoch
 // would hit (bad platform, policy factory failure, invalid dcsim
 // window) surface here rather than mid-run.
+//
+// The trace's samples are checked here, once, on the whole trace;
+// the per-DC dcsim steppers every epoch and every Clone builds check
+// only their shape. That is sound because, once a stepper is built,
+// nothing writes its trace except dcsim.LiveFeed.Observe, which
+// range-checks every sample it writes.
 func NewStepper(cfg Config) (*Stepper, error) {
 	if cfg.Trace == nil {
 		return nil, fmt.Errorf("topology: nil trace")
 	}
-	if len(cfg.Trace.VMs) == 0 {
-		return nil, fmt.Errorf("topology: trace has no VMs")
+	if err := cfg.Trace.Validate(); err != nil {
+		return nil, fmt.Errorf("topology: %w", err)
 	}
 	if cfg.Predictions == nil {
 		return nil, fmt.Errorf("topology: nil predictions")

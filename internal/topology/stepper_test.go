@@ -167,6 +167,45 @@ func TestStepperMatchesRun(t *testing.T) {
 	}
 }
 
+// TestNewStepperRejectsInvalidSamples: the per-DC simulators of later
+// epochs and forks trust the trace NewStepper was given, so NewStepper
+// itself must reject a bad sample anywhere in it — in the history no
+// epoch replays, or in the last epoch's window, which the first epoch
+// never reads — and a ragged VM, on every fleet shape.
+func TestNewStepperRejectsInvalidSamples(t *testing.T) {
+	const days = 1
+	lastSlot := days*trace.SamplesPerDay/trace.SamplesPerSlot - 1
+	spoils := []struct {
+		name  string
+		spoil func(tr *trace.Trace)
+	}{
+		{"nan-cpu-in-history", func(tr *trace.Trace) { tr.VMs[7].CPU[5] = math.NaN() }},
+		{"mem-101-in-last-epoch", func(tr *trace.Trace) {
+			tr.VMs[11].Mem[trace.SamplesPerDay+lastSlot*trace.SamplesPerSlot+3] = 101
+		}},
+		{"ragged-vm", func(tr *trace.Trace) { tr.VMs[3].CPU = tr.VMs[3].CPU[:len(tr.VMs[3].CPU)-1] }},
+	}
+	for _, fc := range []struct{ fleet, reb string }{
+		{"single", "off"},
+		{"uniform@triad", "epoch:4"},
+		{"carbon-greedy@triad-carbon", "epoch:6"},
+	} {
+		reb, err := ParseRebalanceSpec(fc.reb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range spoils {
+			t.Run(fc.fleet+"/"+fc.reb+"/"+sp.name, func(t *testing.T) {
+				cfg := stepperConfig(t, fc.fleet, reb, dcsim.DefaultTransitions(), days)
+				sp.spoil(cfg.Trace)
+				if _, err := NewStepper(cfg); err == nil {
+					t.Fatal("NewStepper accepted the trace")
+				}
+			})
+		}
+	}
+}
+
 // TestNewStepperRejectsEmptyTrace: a trace with no VMs is an error, as
 // it is for dcsim, not a run of empty slots.
 func TestNewStepperRejectsEmptyTrace(t *testing.T) {

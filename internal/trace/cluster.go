@@ -30,6 +30,7 @@ import (
 //     at least a second apart in µs; a seconds dump would need
 //     11-day reporting gaps to match). Only offsets from the
 //     earliest timestamp matter.
+//   - The readings may span at most 366 days (maxClusterTicks).
 //   - Readings are downsampled onto the 5-minute tick grid
 //     (DefaultInterval): each reading lands in the tick containing its
 //     timestamp, multiple readings per (VM, tick) are averaged, gaps
@@ -50,7 +51,8 @@ import (
 //     low-mem, < 34% mid-mem, else high-mem (midpoints of the
 //     paper's 7/25/43% profiles).
 //   - VMs are ordered by their source id — numerically when every id
-//     is an integer, lexicographically otherwise — and renumbered
+//     is an integer (ids of equal value, such as 1 and 01, then
+//     lexicographically), lexicographically otherwise — and renumbered
 //     densely from 0, so the output is deterministic whatever the
 //     row order of the dump.
 
@@ -73,6 +75,13 @@ const DefaultClusterMemPct = 25.0
 // is year ~5138, so no seconds timestamp reaches it, while epoch- or
 // long-span microsecond values do.
 const microsecondThreshold = 1e11
+
+// maxClusterTicks bounds the span a dump may cover: 366 days of
+// 5-minute ticks. Every VM is forward-filled over the whole span, so
+// one stray timestamp (a seconds value in a microsecond dump) would
+// otherwise allocate gigabytes from a single row, or overflow the tick
+// count outright.
+const maxClusterTicks = 366 * SamplesPerDay
 
 // microsecondStep flags microsecond clocks by granularity: cluster
 // dumps report at least once a second (1e6 µs), while a seconds dump
@@ -118,8 +127,7 @@ func ReadClusterCSV(r io.Reader) (*Trace, error) {
 	}
 	byVM := map[string][]rawReading{}
 	var allTS []float64
-	var maxTS, maxCPU, maxMem float64
-	minTS := -1.0
+	var maxCPU, maxMem float64
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -188,12 +196,6 @@ func ReadClusterCSV(r io.Reader) (*Trace, error) {
 		}
 		byVM[vmField] = append(byVM[vmField], rawReading{ts: ts, cpu: cpu, mem: mem})
 		allTS = append(allTS, ts)
-		if ts > maxTS {
-			maxTS = ts
-		}
-		if minTS < 0 || ts < minTS {
-			minTS = ts
-		}
 		if cpu > maxCPU {
 			maxCPU = cpu
 		}
@@ -210,6 +212,7 @@ func ReadClusterCSV(r io.Reader) (*Trace, error) {
 	// Microseconds are recognised by magnitude or by reporting
 	// granularity (the smallest gap between distinct timestamps).
 	sort.Float64s(allTS)
+	minTS, maxTS := allTS[0], allTS[len(allTS)-1]
 	minStep := 0.0
 	for i := 1; i < len(allTS); i++ {
 		if d := allTS[i] - allTS[i-1]; d > 0 && (minStep == 0 || d < minStep) {
@@ -230,7 +233,12 @@ func ReadClusterCSV(r io.Reader) (*Trace, error) {
 	}
 
 	tickSec := DefaultInterval.Seconds()
-	ticks := int((maxTS-minTS)*tsScale/tickSec) + 1
+	span := (maxTS - minTS) * tsScale / tickSec
+	if !(span < maxClusterTicks) {
+		return nil, fmt.Errorf("trace: cluster: readings span %g s, more than the %d-day limit",
+			(maxTS-minTS)*tsScale, maxClusterTicks/SamplesPerDay)
+	}
+	ticks := int(span) + 1
 
 	// Deterministic VM order: numeric when every id parses as an
 	// integer, lexicographic otherwise.
@@ -249,7 +257,10 @@ func ReadClusterCSV(r io.Reader) (*Trace, error) {
 		if allNumeric {
 			a, _ := strconv.ParseInt(ids[i], 10, 64)
 			b, _ := strconv.ParseInt(ids[j], 10, 64)
-			return a < b
+			if a != b {
+				return a < b
+			}
+			// "1" and "01" are distinct VMs with one numeric value.
 		}
 		return ids[i] < ids[j]
 	})

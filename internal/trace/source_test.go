@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -381,8 +382,47 @@ func TestClusterAdapterConventions(t *testing.T) {
 		}
 	})
 
+	t.Run("negative-timestamps", func(t *testing.T) {
+		// Only offsets from the earliest timestamp matter, whatever
+		// its sign.
+		dump := "timestamp,vm_id,cpu\n-10,1,60\n-1000,1,50\n-5,2,70\n"
+		tr, err := ReadClusterCSV(strings.NewReader(dump))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Samples() != 4 {
+			t.Fatalf("%d ticks, want 4", tr.Samples())
+		}
+		if got := tr.VMs[0].CPU; !reflect.DeepEqual(got, []float64{50, 50, 50, 60}) {
+			t.Errorf("vm 1 cpu = %v, want [50 50 50 60]", got)
+		}
+	})
+
+	t.Run("equal-numeric-ids-order-lexicographically", func(t *testing.T) {
+		// 1 and 01 are distinct VMs of equal numeric value; their
+		// order must not depend on map iteration or row order.
+		for i, dump := range []string{
+			"timestamp,vm_id,cpu\n0,1,10\n0,01,20\n0,2,30\n",
+			"timestamp,vm_id,cpu\n0,2,30\n0,01,20\n0,1,10\n",
+		} {
+			for rep := 0; rep < 20; rep++ {
+				tr, err := ReadClusterCSV(strings.NewReader(dump))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := []float64{tr.VMs[0].CPU[0], tr.VMs[1].CPU[0], tr.VMs[2].CPU[0]}
+				if !reflect.DeepEqual(got, []float64{20, 10, 30}) {
+					t.Fatalf("dump %d read %d: cpu by VM = %v, want [20 10 30] (01, 1, 2)", i, rep, got)
+				}
+			}
+		}
+	})
+
 	t.Run("errors", func(t *testing.T) {
 		cases := []struct{ name, body, want string }{
+			// A seconds dump whose last stamp is 3170 years late would
+			// forward-fill every VM over 3e8 ticks.
+			{"span-over-limit", "timestamp,vm_id,cpu\n0,1,10\n1,1,10\n99999999999,1,10\n", "366-day limit"},
 			{"no-cpu-column", "timestamp,vm_id,disk\n", "no cpu column"},
 			{"no-readings", "timestamp,vm_id,cpu\n", "no readings"},
 			{"bad-timestamp", "timestamp,vm_id,cpu\nnoon,1,10\n", "line 2: bad timestamp"},

@@ -99,9 +99,27 @@ func (t *Trace) SlotWindow(s int) (lo, hi int) {
 	return s * SamplesPerSlot, (s + 1) * SamplesPerSlot
 }
 
-// Validate checks structural consistency: uniform lengths and
-// utilisations within [0, 100].
+// Validate checks structural consistency (ValidateShape) and that
+// every utilisation sample lies within [0, 100].
 func (t *Trace) Validate() error {
+	if err := t.ValidateShape(); err != nil {
+		return err
+	}
+	for _, vm := range t.VMs {
+		for i := range vm.CPU {
+			// Negated so NaN, which fails every comparison, is rejected.
+			if !(vm.CPU[i] >= 0 && vm.CPU[i] <= 100 && vm.Mem[i] >= 0 && vm.Mem[i] <= 100) {
+				return fmt.Errorf("trace: VM %d sample %d outside [0,100]", vm.ID, i)
+			}
+		}
+	}
+	return nil
+}
+
+// ValidateShape is the O(VMs) part of Validate: at least one VM,
+// uniform series lengths, and every VM's class one of
+// workload.Classes. It reads no sample.
+func (t *Trace) ValidateShape() error {
 	if len(t.VMs) == 0 {
 		return errors.New("trace: no VMs")
 	}
@@ -111,11 +129,9 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("trace: VM %d has ragged series (%d cpu, %d mem, want %d)",
 				vm.ID, len(vm.CPU), len(vm.Mem), n)
 		}
-		for i := range vm.CPU {
-			// Negated so NaN, which fails every comparison, is rejected.
-			if !(vm.CPU[i] >= 0 && vm.CPU[i] <= 100 && vm.Mem[i] >= 0 && vm.Mem[i] <= 100) {
-				return fmt.Errorf("trace: VM %d sample %d outside [0,100]", vm.ID, i)
-			}
+		if vm.Class < workload.LowMem || vm.Class > workload.HighMem {
+			return fmt.Errorf("trace: VM %d has unknown class %d (want %d..%d)",
+				vm.ID, int(vm.Class), int(workload.LowMem), int(workload.HighMem))
 		}
 	}
 	return nil

@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/workload"
 )
 
 func smallConfig(seed int64) Config {
@@ -157,6 +160,46 @@ func TestValidateCatchesRaggedAndOutOfRange(t *testing.T) {
 	empty := &Trace{}
 	if err := empty.Validate(); err == nil {
 		t.Error("empty trace validated")
+	}
+}
+
+// A class outside LowMem..HighMem would index past the simulator's
+// per-class tables, so Validate rejects it and names the VM and class.
+func TestValidateRejectsUnknownClass(t *testing.T) {
+	cases := []struct {
+		class workload.Class
+		ok    bool
+	}{
+		{workload.LowMem, true},
+		{workload.MidMem, true},
+		{workload.HighMem, true},
+		{-1, false},
+		{3, false},
+		{7, false},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprint(int(c.class)), func(t *testing.T) {
+			tr, err := Generate(smallConfig(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.VMs[4].Class = c.class
+			err = tr.Validate()
+			if c.ok {
+				if err != nil {
+					t.Fatalf("class %d rejected: %v", c.class, err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("class %d accepted", c.class)
+			}
+			for _, want := range []string{fmt.Sprintf("VM %d", tr.VMs[4].ID), fmt.Sprintf("class %d", c.class)} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %q", err, want)
+				}
+			}
+		})
 	}
 }
 
