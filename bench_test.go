@@ -12,14 +12,17 @@ package ntcdc
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/alloc"
 	"repro/internal/dcsim"
 	"repro/internal/experiments"
+	"repro/internal/serve"
 	"repro/internal/sweep"
 	"repro/internal/sweep/dist"
-	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -291,14 +294,15 @@ func BenchmarkCarbonFleetWeek(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetFork measures one live what-if fork: a
-// follow-the-sun fleet (150 VMs, 7 evaluated days, oracle predictions,
-// carbon-greedy dispatch re-planned every 6 slots) is stepped to the
-// middle of the week once, outside the timer; each iteration clones
-// it and steps the clone to the end of the week, as ntc-serve's fork
-// endpoint does.
+// BenchmarkFleetFork measures the live what-if fork path as ntc-serve
+// serves it, through the daemon's HTTP handler: a follow-the-sun
+// fleet (150 VMs, 7 evaluated days, oracle predictions, carbon-greedy
+// dispatch re-planned every 6 slots). Each iteration creates a
+// session, steps it to the middle of the week, then forks it 8 times
+// at increasing slots — a live session's fork traffic — and retires
+// it.
 func BenchmarkFleetFork(b *testing.B) {
-	rn, err := sweep.NewRunner(sweep.Grid{
+	s, err := serve.New(serve.Options{Grid: sweep.Grid{
 		Policies:    []string{"EPACT"},
 		VMs:         []int{150},
 		MaxServers:  []int{150},
@@ -308,40 +312,35 @@ func BenchmarkFleetFork(b *testing.B) {
 		Transitions: []sweep.TransitionSpec{{Name: "default"}},
 		Topologies:  []string{"carbon-greedy@triad-carbon"},
 		Rebalances:  []string{"epoch:6@carbon-greedy"},
-	})
+	}})
 	if err != nil {
 		b.Fatal(err)
 	}
-	scens, err := sweep.Expand(rn.Grid())
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg, err := rn.StepperConfig(scens[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	st, err := topology.NewStepper(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const forkSlot = 84
-	for s := 0; s < forkSlot; s++ {
-		if _, err := st.Step(); err != nil {
-			b.Fatal(err)
+	h := s.Handler()
+	do := func(method, path, body string, want int) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if rec.Code != want {
+			b.Fatalf("%s %s: status %d, want %d: %s", method, path, rec.Code, want, rec.Body)
 		}
 	}
+	const (
+		forkSlot = 84
+		forks    = 8
+		gap      = 10 // slots stepped between forks
+	)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fork, err := st.Clone()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for !fork.Done() {
-			if _, err := fork.Step(); err != nil {
-				b.Fatal(err)
+		do(http.MethodPost, "/v1/sessions", `{"id": "fork"}`, http.StatusCreated)
+		do(http.MethodPost, "/v1/sessions/fork/step", fmt.Sprintf(`{"slots": %d}`, forkSlot), http.StatusOK)
+		for f := 0; f < forks; f++ {
+			if f > 0 {
+				do(http.MethodPost, "/v1/sessions/fork/step", fmt.Sprintf(`{"slots": %d}`, gap), http.StatusOK)
 			}
+			do(http.MethodPost, "/v1/sessions/fork/whatif", `{"fork": true}`, http.StatusOK)
 		}
+		do(http.MethodDelete, "/v1/sessions/fork", "", http.StatusOK)
 	}
 }
 

@@ -22,6 +22,12 @@
 // and ANY current allocation fails regardless of percentage. New
 // benchmarks pass and are reported, so the baseline can be refreshed
 // deliberately.
+//
+// With -ab-base and -ab-head it instead compares two sides of an
+// ntcbench A/B run (scripts/ab.sh): each file is the concatenated
+// output of one side's runs, run i of each side forming pair i.
+//
+//	benchjson -ab-base base.out -ab-head head.out
 package main
 
 import (
@@ -83,12 +89,28 @@ func run(args []string, stdout, stderr io.Writer) error {
 		minB     = fs.Float64("min-b", 0, "gate B/op only when the baseline is at least this many bytes (pool hit rates make small footprints jittery); a zero baseline always gates")
 		minAlloc = fs.Float64("min-allocs", 0, "gate allocs/op only when the baseline is at least this many allocations; a zero baseline always gates")
 		note     = fs.String("note", "", "provenance note stored in the snapshot")
+		abBase   = fs.String("ab-base", "", "ntcbench output of an A/B run's base side (with -ab-head)")
+		abHead   = fs.String("ab-head", "", "ntcbench output of an A/B run's head side (with -ab-base)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
+	if *abBase != "" || *abHead != "" {
+		if *abBase == "" || *abHead == "" {
+			return fmt.Errorf("-ab-base and -ab-head go together")
+		}
+		base, err := readABSide(*abBase)
+		if err != nil {
+			return err
+		}
+		head, err := readABSide(*abHead)
+		if err != nil {
+			return err
+		}
+		return abReport(stdout, base, head)
 	}
 	if *out == "" && *baseline == "" {
 		return fmt.Errorf("nothing to do: pass -out and/or -baseline")

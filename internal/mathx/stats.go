@@ -1,7 +1,8 @@
 // Package mathx provides the numerical utilities shared by the power,
 // forecasting and allocation packages: descriptive statistics, Pearson
 // correlation, Euclidean distance, piecewise-linear interpolation,
-// argmin helpers and a small dense linear solver.
+// argmin helpers, a small dense linear solver, and the quartiles and
+// rank test that compare two sets of benchmark runs.
 //
 // Everything here is deliberately dependency-free (stdlib math only) so
 // the modelling packages stay self-contained.
@@ -10,6 +11,7 @@ package mathx
 import (
 	"errors"
 	"math"
+	"sort"
 )
 
 // ErrLengthMismatch is returned when paired-sample statistics receive
@@ -221,4 +223,84 @@ func RMSE(actual, forecast []float64) (float64, error) {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(actual))), nil
+}
+
+// Quartiles returns the three cut points that divide xs into quarters,
+// by the "exclusive" method (Python's statistics.quantiles(xs, n=4)
+// default). xs need not be sorted. One value is all three quartiles;
+// an empty slice gives NaNs.
+func Quartiles(xs []float64) [3]float64 {
+	d := append([]float64(nil), xs...)
+	sort.Float64s(d)
+	switch len(d) {
+	case 0:
+		return [3]float64{math.NaN(), math.NaN(), math.NaN()}
+	case 1:
+		return [3]float64{d[0], d[0], d[0]}
+	}
+	n, m := len(d), len(d)+1
+	var q [3]float64
+	for i := 1; i <= 3; i++ {
+		j := min(max(i*m/4, 1), n-1)
+		delta := i*m - j*4
+		q[i-1] = (d[j-1]*float64(4-delta) + d[j]*float64(delta)) / 4
+	}
+	return q
+}
+
+// MannWhitneyU is the two-sided Mann–Whitney U (Wilcoxon rank-sum)
+// test of whether x and y come from the same distribution. u is x's
+// statistic: the number of (x, y) pairs with x > y, ties counting one
+// half. The p-value uses the normal approximation with the tie
+// correction and a continuity correction of one half, which is
+// scipy.stats.mannwhitneyu's "asymptotic" method. Samples whose
+// values are all equal give p = 1; an empty sample gives p = NaN.
+func MannWhitneyU(x, y []float64) (u, p float64) {
+	n1, n2 := len(x), len(y)
+	if n1 == 0 || n2 == 0 {
+		return 0, math.NaN()
+	}
+	type obs struct {
+		v   float64
+		inX bool
+	}
+	all := make([]obs, 0, n1+n2)
+	for _, v := range x {
+		all = append(all, obs{v, true})
+	}
+	for _, v := range y {
+		all = append(all, obs{v, false})
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
+
+	// Tied values share the mean of the ranks they span.
+	n := len(all)
+	rankX, ties := 0.0, 0.0
+	for i := 0; i < n; {
+		j := i
+		for j < n && all[j].v == all[i].v {
+			j++
+		}
+		mid := float64(i+j+1) / 2 // mean of the 1-based ranks i+1..j
+		for k := i; k < j; k++ {
+			if all[k].inX {
+				rankX += mid
+			}
+		}
+		t := float64(j - i)
+		ties += t*t*t - t
+		i = j
+	}
+	u = rankX - float64(n1*(n1+1))/2
+
+	mean := float64(n1*n2) / 2
+	variance := float64(n1*n2) / 12 * (float64(n+1) - ties/float64(n*(n-1)))
+	if variance <= 0 {
+		return u, 1
+	}
+	z := (math.Abs(u-mean) - 0.5) / math.Sqrt(variance)
+	if z <= 0 {
+		return u, 1
+	}
+	return u, math.Erfc(z / math.Sqrt2)
 }

@@ -234,3 +234,68 @@ func TestAddScaled(t *testing.T) {
 	}()
 	AddScaled([]float64{1}, 1, []float64{1, 2})
 }
+
+func TestQuartiles(t *testing.T) {
+	// Reference values from Python's statistics.quantiles(xs, n=4).
+	cases := []struct {
+		xs   []float64
+		want [3]float64
+	}{
+		{[]float64{5, 1, 3, 2, 4, 9, 7, 6}, [3]float64{2.25, 4.5, 6.75}},
+		{[]float64{1, 2}, [3]float64{0.75, 1.5, 2.25}},
+		{[]float64{3, 1, 2}, [3]float64{1, 2, 3}},
+		{[]float64{7}, [3]float64{7, 7, 7}},
+	}
+	for _, c := range cases {
+		if got := Quartiles(c.xs); got != c.want {
+			t.Errorf("Quartiles(%v) = %v, want %v", c.xs, got, c.want)
+		}
+	}
+	if q := Quartiles(nil); !math.IsNaN(q[1]) {
+		t.Errorf("Quartiles(nil) = %v, want NaNs", q)
+	}
+}
+
+// TestMannWhitneyU checks the rank test against worked examples.
+//
+// Ties: x = {1, 2, 3}, y = {3, 4, 5}. Pooled and sorted, the ranks are
+// 1, 2, 3.5, 3.5, 5, 6 (the two 3s share ranks 3 and 4), so x's rank
+// sum is 6.5 and U = 6.5 - 3*4/2 = 0.5. Under the null U has mean
+// 3*3/2 = 4.5; one tie group of size 2 gives sum(t^3 - t) = 6, so the
+// variance is 3*3/12 * (7 - 6/(6*5)) = 0.75 * 6.8 = 5.1. With the
+// continuity correction z = (|0.5 - 4.5| - 0.5) / sqrt(5.1) =
+// 1.5498260, and the two-sided p = erfc(z/sqrt 2) = 0.1211833.
+//
+// No ties: x = {1, 2, 3}, y = {4, 5, 6} gives U = 0, variance
+// 9/12 * 7 = 5.25, z = 4/sqrt(5.25) = 1.7457431 and p = 0.0808556,
+// which is scipy.stats.mannwhitneyu(x, y, method="asymptotic").
+func TestMannWhitneyU(t *testing.T) {
+	cases := []struct {
+		name  string
+		x, y  []float64
+		u, p  float64
+		swapU float64
+	}{
+		{"ties", []float64{1, 2, 3}, []float64{3, 4, 5}, 0.5, 0.1211833, 8.5},
+		{"no-ties", []float64{1, 2, 3}, []float64{4, 5, 6}, 0, 0.0808556, 9},
+		{"all-equal", []float64{2, 2}, []float64{2, 2, 2}, 3, 1, 3},
+		{"identical-samples", []float64{1, 2, 3}, []float64{1, 2, 3}, 4.5, 1, 4.5},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			u, p := MannWhitneyU(c.x, c.y)
+			if u != c.u || !almost(p, c.p, 5e-7) {
+				t.Errorf("MannWhitneyU = (%v, %v), want (%v, %v)", u, p, c.u, c.p)
+			}
+			// The test is symmetric: swapping the samples gives the
+			// complementary U and the same p.
+			su, sp := MannWhitneyU(c.y, c.x)
+			if su != c.swapU || sp != p {
+				t.Errorf("swapped: (%v, %v), want (%v, %v)", su, sp, c.swapU, p)
+			}
+		})
+	}
+	if _, p := MannWhitneyU(nil, []float64{1}); !math.IsNaN(p) {
+		t.Errorf("empty sample: p = %v, want NaN", p)
+	}
+}

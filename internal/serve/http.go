@@ -295,6 +295,23 @@ type observeRequest struct {
 	Mem  [][]float64 `json:"mem"`
 }
 
+// decodeObserve parses an observe body with the same hermetic gates
+// as decodeStep: unknown fields and trailing JSON values are
+// rejected. Unlike a step, an observe has no empty-body default. The
+// sample values are checked by Session.Observe, not here.
+func decodeObserve(body []byte) (observeRequest, error) {
+	var req observeRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, fmt.Errorf("parsing observe request: %w", err)
+	}
+	if dec.More() {
+		return req, fmt.Errorf("observe request has trailing data after the JSON object")
+	}
+	return req, nil
+}
+
 func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.sessionFromPath(w, r)
 	if !ok {
@@ -305,15 +322,9 @@ func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, msg)
 		return
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	var req observeRequest
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "parsing observe request: "+err.Error())
-		return
-	}
-	if dec.More() {
-		httpError(w, http.StatusBadRequest, "observe request has trailing data after the JSON object")
+	req, err := decodeObserve(body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ingested, err := sess.Observe(req.Slot, req.CPU, req.Mem)
@@ -345,8 +356,8 @@ func (s *Server) handleSessionWhatIf(w http.ResponseWriter, r *http.Request) {
 
 // serveWhatIf answers a what-if against one session: axis deltas
 // apply to the session's own scenario (for the default session that
-// is exactly the base grid), and {"fork": true} replays the session's
-// carried stepper state to the end of the horizon instead.
+// is exactly the base grid), and {"fork": true} answers the rest of
+// the session's own run instead.
 func (s *Server) serveWhatIf(w http.ResponseWriter, r *http.Request, sess *Session) {
 	body, code, msg := readBody(w, r, maxWhatIfBody)
 	if code != 0 {

@@ -4,9 +4,9 @@
 // every session's gauges on one OpenMetrics/Prometheus exposition
 // page (a session label shards the series), answers what-if scenario
 // deltas from the content-addressed result cache, ingests observed
-// utilisation samples into live sessions, and forks a session's
-// carried replay state to answer "what does the rest of THIS run look
-// like" without re-simulating the past.
+// utilisation samples into live sessions, and forks a session to
+// answer "what does the rest of THIS run look like" from one kept
+// replay of the session's run.
 //
 // Session model: New creates the default session from the base grid;
 // POST /v1/sessions creates further sessions as axis deltas against

@@ -41,6 +41,12 @@ type Session struct {
 	wmu sync.Mutex
 	wst whatifStats
 	cst cacheStats
+
+	// replay is the session's whole run, built by its first fork and
+	// never changed after: a replay session is deterministic, so every
+	// fork answers a suffix of this one run. rmu serialises the build.
+	rmu    sync.Mutex
+	replay *forkReplay
 }
 
 // newSession positions a session before slot 0 and publishes its

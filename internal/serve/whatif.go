@@ -19,12 +19,12 @@ import (
 // — what-ifs answer "same workload, different knobs", which is also
 // what keeps every answer addressable in the result cache.
 //
-// Fork is the other kind of question: instead of re-running scenarios
-// from slot 0, {"fork": true} clones the session's carried stepper
-// state mid-replay and drives ONLY the remaining window — "how does
-// the rest of THIS run end". A fork carries no axis deltas (the
-// cloned state already encodes the scenario) and is answered by
-// simulation, never the cache.
+// Fork is the other kind of question: instead of answering whole
+// scenarios, {"fork": true} answers ONLY the remaining window of the
+// session's run from its current slot — "how does the rest of THIS
+// run end". A fork carries no axis deltas (the session's scenario is
+// the question) and is answered from the session's one kept replay,
+// never the cache.
 type WhatIfRequest struct {
 	Policies     []string  `json:"policies,omitempty"`
 	VMs          []int     `json:"vms,omitempty"`
@@ -70,13 +70,13 @@ type WhatIfResponse struct {
 }
 
 // ForkResponse is the answer to {"fork": true}: the remaining-window
-// aggregates of the session's cloned replay plus the full-horizon
-// totals (past slots the session already replayed included).
+// aggregates of the session's run plus the full-horizon totals (past
+// slots the session already replayed included).
 type ForkResponse struct {
 	Session string `json:"session"`
 
-	// Slot is the fork point (completed slots when the clone was
-	// taken); Slots is the horizon. The remaining window is
+	// Slot is the fork point (the session's completed slots when the
+	// fork was asked); Slots is the horizon. The remaining window is
 	// [Slot, Slots).
 	Slot  int  `json:"slot"`
 	Slots int  `json:"slots"`
@@ -92,8 +92,8 @@ type ForkResponse struct {
 	OperationalGCO2     float64   `json:"operational_gco2"`
 	EmbodiedGCO2        float64   `json:"embodied_gco2"`
 
-	// Full-horizon totals from the finished clone (bit-exact with the
-	// batch row for the session's scenario — the clone contract).
+	// Full-horizon totals of the session's finished replay (bit-exact
+	// with the batch row for the session's scenario).
 	TotalEnergyMJ        float64 `json:"total_energy_mj"`
 	TotalViolations      int     `json:"total_violations"`
 	EPScore              float64 `json:"ep_score"`
@@ -128,14 +128,15 @@ func gridForScenario(base sweep.Grid, s sweep.Scenario) sweep.Grid {
 
 // decodeWhatIf parses and validates a what-if body against the delta
 // base grid. A fork request returns (req, nil, nil) — there is
-// nothing to expand; the caller replays carried state instead. Every
-// rejection happens before any scenario executes — the hermeticity
-// and resource gates mirror the dist protocol's fuzz-pinned ones:
+// nothing to expand; the caller answers from the session's run
+// instead. Every rejection happens before any scenario executes — the
+// hermeticity and resource gates mirror the dist protocol's
+// fuzz-pinned ones:
 //
 //   - unknown fields, malformed JSON and trailing data are rejected
 //     (typo safety);
-//   - a fork cannot carry axis deltas (the cloned state already IS a
-//     scenario);
+//   - a fork cannot carry axis deltas (the session's scenario is the
+//     question);
 //   - axis values must validate against the sweep registries;
 //   - no file-backed inputs: a request naming filesystem paths (trace
 //     files, fleet JSON) would make the service read arbitrary local
@@ -364,12 +365,61 @@ func (sess *Session) whatIf(srv *Server, scens []sweep.Scenario) *WhatIfResponse
 	return resp
 }
 
-// serveFork answers {"fork": true}: clone the session's carried
-// stepper state and drive ONLY the remaining window to the end of the
-// horizon, under the execution lease. The clone is independent — the
-// live session keeps stepping concurrently — and bit-exact: forked
-// slot energies match a fresh windowed run over [Slot, Slots) with
-// carried power-on state (the topology.Clone contract). A
+// forkReplay is one replay session's whole run: its slot steps
+// (without the per-DC breakdown, which a fork does not report) and
+// the finished run's totals.
+type forkReplay struct {
+	steps []topology.SlotStep
+	res   *topology.FleetResult
+}
+
+// replayOf returns the session's whole run, building it on first
+// use: a fresh stepper for the session's scenario, resolved exactly as
+// createSession resolves it and stepped to the end under the execution
+// lease. Concurrent first forks build it once: they wait on rmu, which
+// the builder holds while it waits for the lease, since they need the
+// replay it builds (no lease holder ever takes rmu). A failed build is
+// not kept, so the next fork retries.
+func (s *Server) replayOf(sess *Session) (*forkReplay, error) {
+	sess.rmu.Lock()
+	defer sess.rmu.Unlock()
+	if sess.replay != nil {
+		return sess.replay, nil
+	}
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
+	cfg, err := s.runner.StepperConfig(sess.scen)
+	if err != nil {
+		return nil, err
+	}
+	st, err := topology.NewStepper(cfg)
+	if err != nil {
+		return nil, err
+	}
+	rp := &forkReplay{steps: make([]topology.SlotStep, 0, st.Slots())}
+	for !st.Done() {
+		step, err := st.Step()
+		if err != nil {
+			return nil, err
+		}
+		step.DCs = nil
+		rp.steps = append(rp.steps, step)
+	}
+	if rp.res, err = st.Result(); err != nil {
+		return nil, err
+	}
+	sess.replay = rp
+	return rp, nil
+}
+
+// serveFork answers {"fork": true}: the remaining window [Slot, Slots)
+// of the session's run plus its full-horizon totals. A replay session
+// is deterministic, so the rest of its run is a suffix of the
+// session's one kept replay (replayOf): the first fork pays a full
+// replay under the execution lease, and every fork folds the kept
+// slot steps from the session's current slot, in order, with no
+// lease. The answer is bit-exact with the batch row for the session's
+// scenario, and the live session keeps stepping concurrently. A
 // live-ingestion session has no replayable future (its remaining
 // slots are unobserved), so forking it is a 409.
 func (s *Server) serveFork(w http.ResponseWriter, sess *Session) {
@@ -379,16 +429,13 @@ func (s *Server) serveFork(w http.ResponseWriter, sess *Session) {
 		return
 	}
 	sess.mu.Lock()
-	if sess.stepErr != nil {
-		err := sess.stepErr
-		sess.mu.Unlock()
+	fork, slots, err := sess.cum.Slot, sess.cum.Slots, sess.stepErr
+	sess.mu.Unlock()
+	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	fork := sess.cum.Slot
-	slots := sess.cum.Slots
-	clone, err := sess.stepper.Clone()
-	sess.mu.Unlock()
+	rp, err := s.replayOf(sess)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -396,13 +443,7 @@ func (s *Server) serveFork(w http.ResponseWriter, sess *Session) {
 
 	resp := &ForkResponse{Session: sess.id, Slot: fork, Slots: slots, Fork: true,
 		SlotEnergyMJ: make([]float64, 0, slots-fork)}
-	s.sem <- struct{}{}
-	var res *topology.FleetResult
-	for err == nil && !clone.Done() {
-		var step topology.SlotStep
-		if step, err = clone.Step(); err != nil {
-			break
-		}
+	for _, step := range rp.steps[fork:] {
 		resp.SlotEnergyMJ = append(resp.SlotEnergyMJ, step.EnergyMJ)
 		resp.EnergyMJ += step.EnergyMJ
 		resp.Violations += step.Violations
@@ -412,19 +453,11 @@ func (s *Server) serveFork(w http.ResponseWriter, sess *Session) {
 		resp.OperationalGCO2 += step.OperationalGCO2
 		resp.EmbodiedGCO2 += step.EmbodiedGCO2
 	}
-	if err == nil {
-		res, err = clone.Result()
-	}
-	<-s.sem
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	resp.TotalEnergyMJ = res.TotalEnergyMJ
-	resp.TotalViolations = res.Violations
-	resp.EPScore = res.EPScore
-	resp.TotalOperationalGCO2 = res.OperationalGCO2
-	resp.TotalEmbodiedGCO2 = res.EmbodiedGCO2
+	resp.TotalEnergyMJ = rp.res.TotalEnergyMJ
+	resp.TotalViolations = rp.res.Violations
+	resp.EPScore = rp.res.EPScore
+	resp.TotalOperationalGCO2 = rp.res.OperationalGCO2
+	resp.TotalEmbodiedGCO2 = rp.res.EmbodiedGCO2
 
 	sess.wmu.Lock()
 	sess.wst.requests++
